@@ -1,8 +1,6 @@
 #include "app/faultfile.hh"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include "app/knob.hh"
 
 namespace metro
 {
@@ -10,73 +8,63 @@ namespace metro
 namespace
 {
 
+/** Event kinds as spelled in `fault =` lines, in FaultKind order. */
+const std::vector<std::string> kKindNames = {
+    "linkDead",   "linkCorrupt", "linkHeal",       "routerDead",
+    "routerHeal", "routerMisroute", "forwardPortOff", "backwardPortOff",
+};
+
+/** The stochastic campaign's knobs. */
+const std::vector<Knob<CampaignConfig>> &
+campaignKnobs()
+{
+    using C = CampaignConfig;
+    static const std::vector<Knob<C>> table = {
+        numKnob<C>("linkFailRate", METRO_KNOB_FIELD(linkFailRate), "", 0, 1),
+        numKnob<C>("linkHealRate", METRO_KNOB_FIELD(linkHealRate), "", 0, 1),
+        numKnob<C>("routerFailRate", METRO_KNOB_FIELD(routerFailRate), "",
+                   0, 1),
+        numKnob<C>("routerHealRate", METRO_KNOB_FIELD(routerHealRate), "",
+                   0, 1),
+        numKnob<C>("corruptFraction", METRO_KNOB_FIELD(corruptFraction),
+                   "", 0, 1),
+        numKnob<C>("burstRate", METRO_KNOB_FIELD(burstRate), "", 0, 1),
+        numKnob<C>("flakyLinks", METRO_KNOB_FIELD(flakyLinks), "", 0,
+                   100000),
+        numKnob<C>("flakyPeriod", METRO_KNOB_FIELD(flakyPeriod), "", 1),
+        numKnob<C>("burstSize", METRO_KNOB_FIELD(burstSize), "", 1, 100000),
+        numKnob<C>("start", METRO_KNOB_FIELD(start)),
+        numKnob<C>("stop", METRO_KNOB_FIELD(stop)),
+    };
+    return table;
+}
+
+/** One `fault = <cycle> <kind> <target> [port]` value. */
 std::string
-trim(const std::string &s)
+parseEvent(const std::string &value, FaultEvent &event)
 {
-    const auto first = s.find_first_not_of(" \t\r");
-    if (first == std::string::npos)
-        return "";
-    const auto last = s.find_last_not_of(" \t\r");
-    return s.substr(first, last - first + 1);
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
-}
-
-bool
-parseF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end != nullptr && *end == '\0';
-}
-
-std::vector<std::string>
-splitWords(const std::string &s)
-{
-    std::vector<std::string> words;
-    std::istringstream in(s);
-    std::string w;
-    while (in >> w)
-        words.push_back(w);
-    return words;
-}
-
-bool
-parseKind(const std::string &s, FaultKind &kind, bool &wants_port)
-{
-    wants_port = false;
-    if (s == "linkDead")
-        kind = FaultKind::LinkDead;
-    else if (s == "linkCorrupt")
-        kind = FaultKind::LinkCorrupt;
-    else if (s == "linkHeal")
-        kind = FaultKind::LinkHeal;
-    else if (s == "routerDead")
-        kind = FaultKind::RouterDead;
-    else if (s == "routerHeal")
-        kind = FaultKind::RouterHeal;
-    else if (s == "routerMisroute")
-        kind = FaultKind::RouterMisroute;
-    else if (s == "forwardPortOff") {
-        kind = FaultKind::ForwardPortOff;
-        wants_port = true;
-    } else if (s == "backwardPortOff") {
-        kind = FaultKind::BackwardPortOff;
-        wants_port = true;
-    } else {
-        return false;
-    }
-    return true;
+    const auto words = splitWords(value);
+    std::uint64_t at = 0, target = 0, port = 0;
+    if (words.size() < 3 || words.size() > 4 || !parseU64(words[0], at) ||
+        !parseU64(words[2], target) ||
+        (words.size() == 4 && !parseU64(words[3], port)))
+        return "bad value for fault";
+    std::size_t kind = 0;
+    while (kind < kKindNames.size() && kKindNames[kind] != words[1])
+        ++kind;
+    if (kind == kKindNames.size())
+        return "unknown fault kind: " + words[1];
+    event.at = at;
+    event.kind = static_cast<FaultKind>(kind);
+    event.target = static_cast<std::uint32_t>(target);
+    const bool wants_port = event.kind == FaultKind::ForwardPortOff ||
+                            event.kind == FaultKind::BackwardPortOff;
+    if (wants_port != (words.size() == 4))
+        return words[1] + (wants_port ? " requires a port operand"
+                                      : " takes no port operand");
+    if (wants_port)
+        event.port = static_cast<PortIndex>(port);
+    return "";
 }
 
 } // namespace
@@ -90,125 +78,25 @@ parseFaultText(const std::string &text, std::string &error)
     // emitting millions of lines must fail, not exhaust memory.
     constexpr std::size_t kMaxEvents = 100000;
 
-    std::istringstream in(text);
-    std::string raw;
-    unsigned line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::string line = trim(raw);
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = trim(line.substr(0, hash));
-        if (line.empty())
-            continue;
-
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            error = "line " + std::to_string(line_no) +
-                    ": expected key = value";
-            return std::nullopt;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-
-        std::uint64_t u = 0;
-        double f = 0.0;
-        auto bad = [&]() {
-            error = "line " + std::to_string(line_no) +
-                    ": bad value for " + key;
-            return std::nullopt;
-        };
-        auto rate = [&](double &slot) -> bool {
-            if (!parseF64(value, f) || f < 0.0 || f > 1.0)
-                return false;
-            slot = f;
-            return true;
-        };
-
-        if (key == "fault") {
-            const auto words = splitWords(value);
-            FaultEvent event;
-            FaultKind kind = FaultKind::LinkDead;
-            bool wants_port = false;
-            if (words.size() < 3 || words.size() > 4 ||
-                !parseU64(words[0], u))
-                return bad();
-            event.at = u;
-            if (!parseKind(words[1], kind, wants_port)) {
-                error = "line " + std::to_string(line_no) +
-                        ": unknown fault kind: " + words[1];
-                return std::nullopt;
-            }
-            event.kind = kind;
-            if (!parseU64(words[2], u))
-                return bad();
-            event.target = static_cast<std::uint32_t>(u);
-            if (wants_port != (words.size() == 4)) {
-                error = "line " + std::to_string(line_no) + ": " +
-                        words[1] +
-                        (wants_port ? " requires a port operand"
-                                    : " takes no port operand");
-                return std::nullopt;
-            }
-            if (wants_port) {
-                if (!parseU64(words[3], u))
-                    return bad();
-                event.port = static_cast<PortIndex>(u);
-            }
-            if (out.events.size() >= kMaxEvents) {
-                error = "line " + std::to_string(line_no) +
-                        ": too many fault events (max " +
-                        std::to_string(kMaxEvents) + ")";
-                return std::nullopt;
-            }
-            out.events.push_back(event);
-        } else if (key == "linkFailRate") {
-            if (!rate(out.campaign.linkFailRate))
-                return bad();
-        } else if (key == "linkHealRate") {
-            if (!rate(out.campaign.linkHealRate))
-                return bad();
-        } else if (key == "routerFailRate") {
-            if (!rate(out.campaign.routerFailRate))
-                return bad();
-        } else if (key == "routerHealRate") {
-            if (!rate(out.campaign.routerHealRate))
-                return bad();
-        } else if (key == "corruptFraction") {
-            if (!rate(out.campaign.corruptFraction))
-                return bad();
-        } else if (key == "burstRate") {
-            if (!rate(out.campaign.burstRate))
-                return bad();
-        } else if (key == "flakyLinks") {
-            if (!parseU64(value, u) || u > 100000)
-                return bad();
-            out.campaign.flakyLinks = static_cast<unsigned>(u);
-        } else if (key == "flakyPeriod") {
-            if (!parseU64(value, u) || u == 0 || u > 0xffffffffULL)
-                return bad();
-            out.campaign.flakyPeriod = static_cast<unsigned>(u);
-        } else if (key == "burstSize") {
-            if (!parseU64(value, u) || u == 0 || u > 100000)
-                return bad();
-            out.campaign.burstSize = static_cast<unsigned>(u);
-        } else if (key == "start") {
-            if (!parseU64(value, u))
-                return bad();
-            out.campaign.start = u;
-        } else if (key == "stop") {
-            if (!parseU64(value, u))
-                return bad();
-            out.campaign.stop = u;
-        } else {
-            error = "line " + std::to_string(line_no) +
-                    ": unknown key: " + key;
-            return std::nullopt;
-        }
-    }
-
-    if (out.campaign.stop != 0 &&
-        out.campaign.stop <= out.campaign.start) {
+    const bool ok = forEachTextLine(text, error, [&](const TextLine &line) {
+        if (line.section)
+            return std::string("expected key = value");
+        if (line.key != "fault")
+            return applyKnobLine(campaignKnobs(), out.campaign, line.key,
+                                 line.value);
+        FaultEvent event;
+        const std::string reason = parseEvent(line.value, event);
+        if (!reason.empty())
+            return reason;
+        if (out.events.size() >= kMaxEvents)
+            return "too many fault events (max " +
+                   std::to_string(kMaxEvents) + ")";
+        out.events.push_back(event);
+        return std::string();
+    });
+    if (!ok)
+        return std::nullopt;
+    if (out.campaign.stop != 0 && out.campaign.stop <= out.campaign.start) {
         error = "campaign stop must exceed start (or be 0)";
         return std::nullopt;
     }
@@ -218,14 +106,10 @@ parseFaultText(const std::string &text, std::string &error)
 std::optional<FaultFile>
 loadFaultFile(const std::string &path, std::string &error)
 {
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
+    std::string text;
+    if (!readTextFile(path, text, error))
         return std::nullopt;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return parseFaultText(buffer.str(), error);
+    return parseFaultText(text, error);
 }
 
 } // namespace metro

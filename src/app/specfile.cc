@@ -1,8 +1,6 @@
 #include "app/specfile.hh"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include "app/knob.hh"
 
 namespace metro
 {
@@ -10,48 +8,60 @@ namespace metro
 namespace
 {
 
-std::string
-trim(const std::string &s)
+/** The network section: spec fields plus the shared retry rows,
+ *  bound into the endpoints' RetryPolicyConfig. */
+const std::vector<Knob<MultibutterflySpec>> &
+networkKnobs()
 {
-    const auto first = s.find_first_not_of(" \t\r");
-    if (first == std::string::npos)
-        return "";
-    const auto last = s.find_last_not_of(" \t\r");
-    return s.substr(first, last - first + 1);
+    using S = MultibutterflySpec;
+    static const std::vector<Knob<S>> table = [] {
+        std::vector<Knob<S>> t = {
+            numKnob<S>("endpoints", METRO_KNOB_FIELD(numEndpoints)),
+            numKnob<S>("endpointPorts", METRO_KNOB_FIELD(endpointPorts)),
+            numKnob<S>("seed", METRO_KNOB_FIELD(seed)),
+            boolKnob<S>("fastReclaim", METRO_KNOB_FIELD(fastReclaim)),
+            boolKnob<S>("randomSelection",
+                        METRO_KNOB_FIELD(randomSelection)),
+            boolKnob<S>("randomWiring", METRO_KNOB_FIELD(randomWiring)),
+            numKnob<S>("cascadeWidth", METRO_KNOB_FIELD(cascadeWidth)),
+            numKnob<S>("endpointLinkDelay",
+                       METRO_KNOB_FIELD(endpointLinkDelay)),
+            numKnob<S>("routerIdleTimeout",
+                       METRO_KNOB_FIELD(routerIdleTimeout)),
+            numKnob<S>("replyTimeout",
+                       METRO_KNOB_FIELD(niConfig.replyTimeout)),
+            numKnob<S>("maxAttempts",
+                       METRO_KNOB_FIELD(niConfig.maxAttempts)),
+            enumKnob<S>("retryPolicy",
+                        METRO_KNOB_FIELD(niConfig.retry.kind),
+                        {"uniform", "exponential", "aimd"}, ""),
+        };
+        for (auto &k : liftKnobs<S>(retryKnobs<RetryPolicyConfig>(),
+                                    METRO_KNOB_FIELD(niConfig.retry)))
+            t.push_back(std::move(k));
+        return t;
+    }();
+    return table;
 }
 
-bool
-parseU64(const std::string &s, std::uint64_t &out)
+/** The `[stage]` section. */
+const std::vector<Knob<MbStageSpec>> &
+stageKnobs()
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
-}
-
-bool
-parseBool(const std::string &s, bool &out)
-{
-    if (s == "true" || s == "1") {
-        out = true;
-        return true;
-    }
-    if (s == "false" || s == "0") {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
-bool
-parseF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end != nullptr && *end == '\0';
+    using S = MbStageSpec;
+    static const std::vector<Knob<S>> table = {
+        numKnob<S>("radix", METRO_KNOB_FIELD(radix)),
+        numKnob<S>("dilation", METRO_KNOB_FIELD(dilation)),
+        numKnob<S>("width", METRO_KNOB_FIELD(params.width)),
+        numKnob<S>("numForward", METRO_KNOB_FIELD(params.numForward)),
+        numKnob<S>("numBackward", METRO_KNOB_FIELD(params.numBackward)),
+        numKnob<S>("maxDilation", METRO_KNOB_FIELD(params.maxDilation)),
+        numKnob<S>("hw", METRO_KNOB_FIELD(params.headerWords)),
+        numKnob<S>("dp", METRO_KNOB_FIELD(params.dataPipeStages)),
+        numKnob<S>("maxVtd", METRO_KNOB_FIELD(params.maxVtd)),
+        numKnob<S>("linkDelay", METRO_KNOB_FIELD(linkDelay)),
+    };
+    return table;
 }
 
 } // namespace
@@ -61,281 +71,47 @@ parseSpecText(const std::string &text, std::string &error)
 {
     MultibutterflySpec spec;
     spec.stages.clear();
-    MbStageSpec *stage = nullptr;
-
-    std::istringstream in(text);
-    std::string raw;
-    unsigned line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::string line = trim(raw);
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = trim(line.substr(0, hash));
-        if (line.empty())
-            continue;
-
-        if (line == "[stage]") {
+    const bool ok = forEachTextLine(text, error, [&](const TextLine &line) {
+        if (line.section) {
+            if (line.key != "stage")
+                return "unknown section: [" + line.key + "]";
             spec.stages.emplace_back();
-            stage = &spec.stages.back();
-            continue;
+            return std::string();
         }
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            error = "line " + std::to_string(line_no) +
-                    ": expected key = value";
-            return std::nullopt;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-
-        std::uint64_t u = 0;
-        bool b = false;
-        auto bad = [&]() {
-            error = "line " + std::to_string(line_no) +
-                    ": bad value for " + key;
-            return std::nullopt;
-        };
-
-        if (stage == nullptr) {
-            if (key == "endpoints") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.numEndpoints = static_cast<unsigned>(u);
-            } else if (key == "endpointPorts") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.endpointPorts = static_cast<unsigned>(u);
-            } else if (key == "seed") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.seed = u;
-            } else if (key == "fastReclaim") {
-                if (!parseBool(value, b))
-                    return bad();
-                spec.fastReclaim = b;
-            } else if (key == "randomSelection") {
-                if (!parseBool(value, b))
-                    return bad();
-                spec.randomSelection = b;
-            } else if (key == "randomWiring") {
-                if (!parseBool(value, b))
-                    return bad();
-                spec.randomWiring = b;
-            } else if (key == "cascadeWidth") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.cascadeWidth = static_cast<unsigned>(u);
-            } else if (key == "endpointLinkDelay") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.endpointLinkDelay = static_cast<unsigned>(u);
-            } else if (key == "routerIdleTimeout") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.routerIdleTimeout = static_cast<unsigned>(u);
-            } else if (key == "replyTimeout") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.replyTimeout =
-                    static_cast<unsigned>(u);
-            } else if (key == "maxAttempts") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.maxAttempts =
-                    static_cast<unsigned>(u);
-            } else if (key == "retryPolicy") {
-                BackoffPolicyKind kind;
-                if (!parseBackoffPolicyKind(value, kind))
-                    return bad();
-                spec.niConfig.retry.kind = kind;
-            } else if (key == "backoffMin") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.retry.backoffMin =
-                    static_cast<unsigned>(u);
-            } else if (key == "backoffMax") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.retry.backoffMax =
-                    static_cast<unsigned>(u);
-            } else if (key == "backoffCap") {
-                if (!parseU64(value, u) || u == 0)
-                    return bad();
-                spec.niConfig.retry.backoffCap =
-                    static_cast<unsigned>(u);
-            } else if (key == "retryJitter") {
-                if (!parseBool(value, b))
-                    return bad();
-                spec.niConfig.retry.decorrelatedJitter = b;
-            } else if (key == "aimdDecrease") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.retry.aimdDecrease =
-                    static_cast<unsigned>(u);
-            } else if (key == "retryBudget") {
-                double f;
-                if (!parseF64(value, f) || f < 0.0)
-                    return bad();
-                spec.niConfig.retry.retryBudget = f;
-            } else if (key == "retryBudgetCap") {
-                double f;
-                if (!parseF64(value, f) || f < 1.0)
-                    return bad();
-                spec.niConfig.retry.retryBudgetCap = f;
-            } else if (key == "sendQueueLimit") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.retry.sendQueueLimit =
-                    static_cast<unsigned>(u);
-            } else if (key == "inflightLimit") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.retry.inflightLimit =
-                    static_cast<unsigned>(u);
-            } else if (key == "ageClamp") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.retry.ageClamp = u;
-            } else if (key == "ageStarve") {
-                if (!parseU64(value, u))
-                    return bad();
-                spec.niConfig.retry.ageStarve = u;
-            } else {
-                error = "line " + std::to_string(line_no) +
-                        ": unknown network key: " + key;
-                return std::nullopt;
-            }
-        } else {
-            if (key == "radix") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->radix = static_cast<unsigned>(u);
-            } else if (key == "dilation") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->dilation = static_cast<unsigned>(u);
-            } else if (key == "width") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->params.width = static_cast<unsigned>(u);
-            } else if (key == "numForward") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->params.numForward =
-                    static_cast<unsigned>(u);
-            } else if (key == "numBackward") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->params.numBackward =
-                    static_cast<unsigned>(u);
-            } else if (key == "maxDilation") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->params.maxDilation =
-                    static_cast<unsigned>(u);
-            } else if (key == "hw") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->params.headerWords =
-                    static_cast<unsigned>(u);
-            } else if (key == "dp") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->params.dataPipeStages =
-                    static_cast<unsigned>(u);
-            } else if (key == "maxVtd") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->params.maxVtd = static_cast<unsigned>(u);
-            } else if (key == "linkDelay") {
-                if (!parseU64(value, u))
-                    return bad();
-                stage->linkDelay = static_cast<unsigned>(u);
-            } else {
-                error = "line " + std::to_string(line_no) +
-                        ": unknown stage key: " + key;
-                return std::nullopt;
-            }
-        }
-    }
-
+        if (spec.stages.empty())
+            return applyKnobLine(networkKnobs(), spec, line.key,
+                                 line.value, "unknown network key");
+        return applyKnobLine(stageKnobs(), spec.stages.back(), line.key,
+                             line.value, "unknown stage key");
+    });
+    if (!ok)
+        return std::nullopt;
     if (spec.stages.empty()) {
         error = "spec has no [stage] sections";
         return std::nullopt;
     }
-    const std::string retry_err =
-        validateRetryPolicy(spec.niConfig.retry);
-    if (!retry_err.empty()) {
-        error = retry_err;
+    error = validateRetryPolicy(spec.niConfig.retry);
+    if (!error.empty())
         return std::nullopt;
-    }
     return spec;
 }
 
 std::optional<MultibutterflySpec>
 loadSpecFile(const std::string &path, std::string &error)
 {
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
+    std::string text;
+    if (!readTextFile(path, text, error))
         return std::nullopt;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parseSpecText(buf.str(), error);
+    return parseSpecText(text, error);
 }
 
 std::string
 specToText(const MultibutterflySpec &spec)
 {
-    std::ostringstream out;
-    out << "endpoints = " << spec.numEndpoints << "\n"
-        << "endpointPorts = " << spec.endpointPorts << "\n"
-        << "seed = " << spec.seed << "\n"
-        << "fastReclaim = "
-        << (spec.fastReclaim ? "true" : "false") << "\n"
-        << "randomSelection = "
-        << (spec.randomSelection ? "true" : "false") << "\n"
-        << "randomWiring = "
-        << (spec.randomWiring ? "true" : "false") << "\n"
-        << "cascadeWidth = " << spec.cascadeWidth << "\n"
-        << "endpointLinkDelay = " << spec.endpointLinkDelay << "\n"
-        << "routerIdleTimeout = " << spec.routerIdleTimeout << "\n"
-        << "replyTimeout = " << spec.niConfig.replyTimeout << "\n"
-        << "maxAttempts = " << spec.niConfig.maxAttempts << "\n";
-    const RetryPolicyConfig &retry = spec.niConfig.retry;
-    char fbuf[40];
-    out << "retryPolicy = " << backoffPolicyKindName(retry.kind)
-        << "\n"
-        << "backoffMin = " << retry.backoffMin << "\n"
-        << "backoffMax = " << retry.backoffMax << "\n"
-        << "backoffCap = " << retry.backoffCap << "\n"
-        << "retryJitter = "
-        << (retry.decorrelatedJitter ? "true" : "false") << "\n"
-        << "aimdDecrease = " << retry.aimdDecrease << "\n";
-    std::snprintf(fbuf, sizeof(fbuf), "%.17g", retry.retryBudget);
-    out << "retryBudget = " << fbuf << "\n";
-    std::snprintf(fbuf, sizeof(fbuf), "%.17g", retry.retryBudgetCap);
-    out << "retryBudgetCap = " << fbuf << "\n"
-        << "sendQueueLimit = " << retry.sendQueueLimit << "\n"
-        << "inflightLimit = " << retry.inflightLimit << "\n"
-        << "ageClamp = " << retry.ageClamp << "\n"
-        << "ageStarve = " << retry.ageStarve << "\n";
-    for (const auto &st : spec.stages) {
-        out << "\n[stage]\n"
-            << "radix = " << st.radix << "\n"
-            << "dilation = " << st.dilation << "\n"
-            << "width = " << st.params.width << "\n"
-            << "numForward = " << st.params.numForward << "\n"
-            << "numBackward = " << st.params.numBackward << "\n"
-            << "maxDilation = " << st.params.maxDilation << "\n"
-            << "hw = " << st.params.headerWords << "\n"
-            << "dp = " << st.params.dataPipeStages << "\n"
-            << "maxVtd = " << st.params.maxVtd << "\n"
-            << "linkDelay = " << st.linkDelay << "\n";
-    }
-    return out.str();
+    std::string out = knobsToText(networkKnobs(), spec);
+    for (const auto &stage : spec.stages)
+        out += "\n[stage]\n" + knobsToText(stageKnobs(), stage);
+    return out;
 }
 
 } // namespace metro

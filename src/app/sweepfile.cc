@@ -1,657 +1,25 @@
 #include "app/sweepfile.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include "app/faultfile.hh"
-#include "app/specfile.hh"
-#include "diag/engine.hh"
-#include "fault/campaign.hh"
-#include "fault/injector.hh"
-#include "network/fattree.hh"
-#include "network/presets.hh"
-#include "traffic/patterns.hh"
+#include "app/config.hh"
 
 namespace metro
 {
-
-namespace
-{
-
-std::string
-trim(const std::string &s)
-{
-    const auto first = s.find_first_not_of(" \t\r");
-    if (first == std::string::npos)
-        return "";
-    const auto last = s.find_last_not_of(" \t\r");
-    return s.substr(first, last - first + 1);
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
-}
-
-bool
-parseF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end != nullptr && *end == '\0';
-}
-
-bool
-parseBool(const std::string &s, bool &out)
-{
-    if (s == "true" || s == "1") {
-        out = true;
-        return true;
-    }
-    if (s == "false" || s == "0") {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> parts;
-    std::string cur;
-    for (char c : s) {
-        if (c == ',') {
-            parts.push_back(trim(cur));
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    parts.push_back(trim(cur));
-    return parts;
-}
-
-/** The network recipe a sweep file selects (value type, captured
- *  by every point's build lambda). */
-struct NetworkRecipe
-{
-    enum class Kind : std::uint8_t
-    {
-        Fig3,
-        Fig1,
-        Table32Jr,
-        FatTree,
-        SpecFile,
-    };
-    Kind kind = Kind::Fig3;
-    MultibutterflySpec spec; // SpecFile kind only
-    std::uint64_t seed = 1;
-
-    /** Endpoint count of the selected topology, for parse-time
-     *  validation of hotNode/fanout. */
-    unsigned
-    numEndpoints() const
-    {
-        switch (kind) {
-          case Kind::Fig3: return 64;
-          case Kind::Fig1: return 16;
-          case Kind::Table32Jr: return 32;
-          case Kind::FatTree: return 16;
-          case Kind::SpecFile: return spec.numEndpoints;
-        }
-        return 0;
-    }
-
-    /** Retry-policy overrides applied on top of the topology's
-     *  own retry config (a spec file's, or the defaults). */
-    RetryOverrides retry;
-
-    /** Faults the file asked for (fault events + campaign). */
-    std::optional<FaultFile> faults;
-
-    /** Attach the online DiagnosisEngine to every point. */
-    bool diagnosis = false;
-
-    SweepInstance
-    build(std::uint64_t derived_seed) const
-    {
-        SweepInstance instance;
-        switch (kind) {
-          case Kind::Fig3: {
-            auto s = fig3Spec(seed);
-            retry.apply(s.niConfig.retry);
-            instance.network = buildMultibutterfly(s);
-            break;
-          }
-          case Kind::Fig1: {
-            auto s = fig1Spec(seed);
-            retry.apply(s.niConfig.retry);
-            instance.network = buildMultibutterfly(s);
-            break;
-          }
-          case Kind::Table32Jr: {
-            auto s = table32Spec(RouterParams::metroJr(), seed);
-            retry.apply(s.niConfig.retry);
-            instance.network = buildMultibutterfly(s);
-            break;
-          }
-          case Kind::FatTree: {
-            FatTreeSpec ft;
-            ft.levels = 4;
-            ft.seed = seed;
-            retry.apply(ft.niConfig.retry);
-            instance.network = buildFatTree(ft);
-            break;
-          }
-          case Kind::SpecFile: {
-            MultibutterflySpec s = spec;
-            s.seed = seed;
-            retry.apply(s.niConfig.retry);
-            instance.network = buildMultibutterfly(s);
-            break;
-          }
-        }
-
-        if (faults.has_value() && !faults->events.empty()) {
-            auto injector = std::make_unique<FaultInjector>(
-                instance.network.get());
-            injector->schedule(faults->events);
-            instance.network->engine().addComponent(injector.get());
-            instance.extras.push_back(std::move(injector));
-        }
-        if (faults.has_value() && faults->hasCampaign()) {
-            auto campaign = std::make_unique<FaultCampaign>(
-                instance.network.get(), faults->campaign,
-                derived_seed ^ 0xCA3);
-            instance.network->engine().addComponent(campaign.get());
-            instance.extras.push_back(std::move(campaign));
-        }
-        // Added last: the engine must see every diary entry the
-        // endpoints recorded this cycle.
-        if (diagnosis) {
-            auto diag = std::make_unique<DiagnosisEngine>(
-                instance.network.get());
-            instance.network->engine().addComponent(diag.get());
-            instance.extras.push_back(std::move(diag));
-        }
-        return instance;
-    }
-};
-
-} // namespace
 
 std::optional<SweepFile>
 parseSweepText(const std::string &text, std::string &error,
                const std::string &base_dir)
 {
+    SweepConfig config;
+    if (!applySweepText(text, base_dir, config, error))
+        return std::nullopt;
+    auto points = expandPoints(config, error);
+    if (!points.has_value())
+        return std::nullopt;
     SweepFile out;
-    NetworkRecipe recipe;
-    ExperimentConfig cfg;
-    SweepMode mode = SweepMode::Closed;
-    std::vector<unsigned> thinks;
-    std::vector<double> injects;
-    std::vector<double> session_rates;
-    unsigned replicates = 1;
-    std::uint64_t base_seed = 1;
-
-    // `retryPolicy = a,b,...` adds a sweep axis: the point list is
-    // the cross product of load values × replicates × policies, and
-    // each point's label gains a " policy=<name>" suffix so curves
-    // separate in the CSV/JSON. `process = a,b,...` is the same for
-    // injection processes (" process=<name>" suffix).
-    std::vector<BackoffPolicyKind> policy_axis;
-    std::vector<InjectionKind> process_axis;
-
-    std::istringstream in(text);
-    std::string raw;
-    unsigned line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::string line = trim(raw);
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = trim(line.substr(0, hash));
-        if (line.empty())
-            continue;
-
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            error = "line " + std::to_string(line_no) +
-                    ": expected key = value";
-            return std::nullopt;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-
-        std::uint64_t u = 0;
-        double f = 0.0;
-        bool b = false;
-        auto bad = [&]() {
-            error = "line " + std::to_string(line_no) +
-                    ": bad value for " + key;
-            return std::nullopt;
-        };
-
-        if (key == "topology") {
-            if (value == "fig3")
-                recipe.kind = NetworkRecipe::Kind::Fig3;
-            else if (value == "fig1")
-                recipe.kind = NetworkRecipe::Kind::Fig1;
-            else if (value == "table32jr")
-                recipe.kind = NetworkRecipe::Kind::Table32Jr;
-            else if (value == "fattree")
-                recipe.kind = NetworkRecipe::Kind::FatTree;
-            else
-                return bad();
-        } else if (key == "spec") {
-            const std::string path =
-                base_dir.empty() || value.find('/') == 0
-                    ? value
-                    : base_dir + "/" + value;
-            std::string spec_error;
-            auto spec = loadSpecFile(path, spec_error);
-            if (!spec.has_value()) {
-                error = "line " + std::to_string(line_no) + ": " +
-                        spec_error;
-                return std::nullopt;
-            }
-            recipe.kind = NetworkRecipe::Kind::SpecFile;
-            recipe.spec = *spec;
-        } else if (key == "faults") {
-            const std::string path =
-                base_dir.empty() || value.find('/') == 0
-                    ? value
-                    : base_dir + "/" + value;
-            std::string fault_error;
-            auto faults = loadFaultFile(path, fault_error);
-            if (!faults.has_value()) {
-                error = "line " + std::to_string(line_no) + ": " +
-                        fault_error;
-                return std::nullopt;
-            }
-            recipe.faults = *faults;
-        } else if (key == "diagnosis") {
-            if (!parseBool(value, b))
-                return bad();
-            recipe.diagnosis = b;
-        } else if (key == "mode") {
-            if (value == "closed")
-                mode = SweepMode::Closed;
-            else if (value == "open")
-                mode = SweepMode::Open;
-            else if (value == "session")
-                mode = SweepMode::Session;
-            else
-                return bad();
-        } else if (key == "pattern") {
-            if (value == "uniform")
-                cfg.pattern = TrafficPattern::UniformRandom;
-            else if (value == "hotspot")
-                cfg.pattern = TrafficPattern::Hotspot;
-            else if (value == "transpose")
-                cfg.pattern = TrafficPattern::Transpose;
-            else if (value == "bitreversal")
-                cfg.pattern = TrafficPattern::BitReversal;
-            else if (value == "permutation")
-                cfg.pattern = TrafficPattern::Permutation;
-            else
-                return bad();
-        } else if (key == "think") {
-            thinks.clear();
-            for (const auto &part : splitCommas(value)) {
-                if (!parseU64(part, u))
-                    return bad();
-                thinks.push_back(static_cast<unsigned>(u));
-            }
-        } else if (key == "inject") {
-            injects.clear();
-            for (const auto &part : splitCommas(value)) {
-                if (!parseF64(part, f) || f < 0.0 || f > 1.0)
-                    return bad();
-                injects.push_back(f);
-            }
-        } else if (key == "replicates") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            replicates = static_cast<unsigned>(u);
-        } else if (key == "seed") {
-            if (!parseU64(value, u))
-                return bad();
-            base_seed = u;
-        } else if (key == "messageWords") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.messageWords = static_cast<unsigned>(u);
-        } else if (key == "warmup") {
-            if (!parseU64(value, u))
-                return bad();
-            cfg.warmup = u;
-        } else if (key == "measure") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.measure = u;
-        } else if (key == "drainMax") {
-            if (!parseU64(value, u))
-                return bad();
-            cfg.drainMax = u;
-        } else if (key == "activeFraction") {
-            if (!parseF64(value, f) || f < 0.0 || f > 1.0)
-                return bad();
-            cfg.activeFraction = f;
-        } else if (key == "hotNode") {
-            if (!parseU64(value, u))
-                return bad();
-            cfg.hotNode = static_cast<NodeId>(u);
-        } else if (key == "hotFraction") {
-            if (!parseF64(value, f) || f < 0.0 || f > 1.0)
-                return bad();
-            cfg.hotFraction = f;
-        } else if (key == "availabilityWindow") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.availabilityWindow = u;
-        } else if (key == "requestReply") {
-            if (!parseBool(value, b))
-                return bad();
-            cfg.requestReply = b;
-        } else if (key == "process") {
-            process_axis.clear();
-            for (const auto &part : splitCommas(value)) {
-                InjectionKind kind;
-                if (!parseInjectionKind(part, kind))
-                    return bad();
-                process_axis.push_back(kind);
-            }
-        } else if (key == "burstOn") {
-            if (!parseF64(value, f) || f < 1.0)
-                return bad();
-            cfg.process.burstOn = f;
-        } else if (key == "burstOff") {
-            if (!parseF64(value, f) || f < 1.0)
-                return bad();
-            cfg.process.burstOff = f;
-        } else if (key == "burstRatio") {
-            if (!parseF64(value, f) || f < 1.0)
-                return bad();
-            cfg.process.burstRatio = f;
-        } else if (key == "sizeDist") {
-            if (!parseSizeDist(value, cfg.size.dist))
-                return bad();
-        } else if (key == "sizeMin") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.size.minWords = static_cast<unsigned>(u);
-        } else if (key == "sizeMax") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.size.maxWords = static_cast<unsigned>(u);
-        } else if (key == "sizeAlpha") {
-            if (!parseF64(value, f) || f <= 0.0)
-                return bad();
-            cfg.size.alpha = f;
-        } else if (key == "fanout") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.fanout = static_cast<unsigned>(u);
-        } else if (key == "classMix") {
-            cfg.classMix.clear();
-            for (const auto &part : splitCommas(value)) {
-                if (!parseF64(part, f))
-                    return bad();
-                cfg.classMix.push_back(f);
-            }
-        } else if (key == "sessionRate") {
-            session_rates.clear();
-            for (const auto &part : splitCommas(value)) {
-                if (!parseF64(part, f) || f < 0.0 || f > 1.0)
-                    return bad();
-                session_rates.push_back(f);
-            }
-        } else if (key == "sessionRequests") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.session.requests = static_cast<unsigned>(u);
-        } else if (key == "sessionGap") {
-            if (!parseU64(value, u))
-                return bad();
-            cfg.session.gap = static_cast<unsigned>(u);
-        } else if (key == "sessionMaxActive") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            cfg.session.maxActive = static_cast<unsigned>(u);
-        } else if (key == "diurnalPeriod") {
-            if (!parseU64(value, u))
-                return bad();
-            cfg.session.diurnalPeriod = u;
-        } else if (key == "diurnalAmplitude") {
-            if (!parseF64(value, f) || f < 0.0 || f > 1.0)
-                return bad();
-            cfg.session.diurnalAmplitude = f;
-        } else if (key == "threads") {
-            if (!parseU64(value, u))
-                return bad();
-            out.threads = static_cast<unsigned>(u);
-        } else if (key == "engineThreads") {
-            if (!parseU64(value, u))
-                return bad();
-            out.engineThreads = static_cast<unsigned>(u);
-        } else if (key == "retryPolicy") {
-            policy_axis.clear();
-            for (const auto &part : splitCommas(value)) {
-                BackoffPolicyKind kind;
-                if (!parseBackoffPolicyKind(part, kind))
-                    return bad();
-                policy_axis.push_back(kind);
-            }
-        } else if (key == "backoffMin") {
-            if (!parseU64(value, u))
-                return bad();
-            recipe.retry.backoffMin = static_cast<unsigned>(u);
-        } else if (key == "backoffMax") {
-            if (!parseU64(value, u))
-                return bad();
-            recipe.retry.backoffMax = static_cast<unsigned>(u);
-        } else if (key == "backoffCap") {
-            if (!parseU64(value, u) || u == 0)
-                return bad();
-            recipe.retry.backoffCap = static_cast<unsigned>(u);
-        } else if (key == "retryJitter") {
-            if (!parseBool(value, b))
-                return bad();
-            recipe.retry.decorrelatedJitter = b;
-        } else if (key == "aimdDecrease") {
-            if (!parseU64(value, u))
-                return bad();
-            recipe.retry.aimdDecrease = static_cast<unsigned>(u);
-        } else if (key == "retryBudget") {
-            if (!parseF64(value, f) || f < 0.0)
-                return bad();
-            recipe.retry.retryBudget = f;
-        } else if (key == "retryBudgetCap") {
-            if (!parseF64(value, f) || f < 1.0)
-                return bad();
-            recipe.retry.retryBudgetCap = f;
-        } else if (key == "sendQueueLimit") {
-            if (!parseU64(value, u))
-                return bad();
-            recipe.retry.sendQueueLimit = static_cast<unsigned>(u);
-        } else if (key == "inflightLimit") {
-            if (!parseU64(value, u))
-                return bad();
-            recipe.retry.inflightLimit = static_cast<unsigned>(u);
-        } else if (key == "ageClamp") {
-            if (!parseU64(value, u))
-                return bad();
-            recipe.retry.ageClamp = u;
-        } else if (key == "ageStarve") {
-            if (!parseU64(value, u))
-                return bad();
-            recipe.retry.ageStarve = u;
-        } else {
-            error = "line " + std::to_string(line_no) +
-                    ": unknown key: " + key;
-            return std::nullopt;
-        }
-    }
-
-    if (mode == SweepMode::Closed && thinks.empty())
-        thinks = {0};
-    if (mode == SweepMode::Open && injects.empty())
-        injects = {0.01};
-    if (mode == SweepMode::Session && session_rates.empty())
-        session_rates = {0.002};
-
-    recipe.seed = base_seed;
-    cfg.seed = base_seed;
-
-    // Workload-knob validation (the validateRetryPolicy pattern):
-    // reject nonsense at parse time, not mid-sweep. The session
-    // rate axis is checked per value below.
-    {
-        const std::string werr = validateExperimentConfig(
-            cfg, recipe.numEndpoints());
-        if (!werr.empty()) {
-            error = werr;
-            return std::nullopt;
-        }
-    }
-
-    // Each policy-axis value (or the single implicit recipe) must
-    // merge into a usable retry config; reject the file up front
-    // rather than asserting inside a worker thread mid-sweep.
-    {
-        std::vector<RetryOverrides> variants;
-        if (policy_axis.empty()) {
-            variants.push_back(recipe.retry);
-        } else {
-            for (BackoffPolicyKind kind : policy_axis) {
-                RetryOverrides o = recipe.retry;
-                o.kind = kind;
-                variants.push_back(o);
-            }
-        }
-        for (const auto &o : variants) {
-            RetryPolicyConfig merged =
-                recipe.kind == NetworkRecipe::Kind::SpecFile
-                    ? recipe.spec.niConfig.retry
-                    : RetryPolicyConfig{};
-            o.apply(merged);
-            const std::string verr = validateRetryPolicy(merged);
-            if (!verr.empty()) {
-                error = verr;
-                return std::nullopt;
-            }
-        }
-    }
-
-    const std::size_t values = mode == SweepMode::Closed
-                                   ? thinks.size()
-                               : mode == SweepMode::Open
-                                   ? injects.size()
-                                   : session_rates.size();
-    const std::size_t policies =
-        policy_axis.empty() ? 1 : policy_axis.size();
-    const std::size_t processes =
-        process_axis.empty() ? 1 : process_axis.size();
-
-    // values × replicates × policies × processes points are
-    // materialized up front; a bogus file (huge replicates, a
-    // mile-long think list) must fail here rather than exhaust
-    // memory building the point vector.
-    constexpr std::size_t kMaxSweepPoints = 100000;
-    if (replicates >
-        kMaxSweepPoints / values / policies / processes) {
-        error = "sweep too large: " + std::to_string(values) +
-                " values x " + std::to_string(replicates) +
-                " replicates x " + std::to_string(policies) +
-                " policies x " + std::to_string(processes) +
-                " processes exceeds " +
-                std::to_string(kMaxSweepPoints) + " points";
-        return std::nullopt;
-    }
-
-    for (std::size_t pk = 0; pk < policies; ++pk) {
-        NetworkRecipe point_recipe = recipe;
-        std::string policy_suffix;
-        if (!policy_axis.empty()) {
-            point_recipe.retry.kind = policy_axis[pk];
-            policy_suffix =
-                std::string(" policy=") +
-                backoffPolicyKindName(policy_axis[pk]);
-        }
-        for (std::size_t px = 0; px < processes; ++px) {
-            std::string process_suffix;
-            if (!process_axis.empty()) {
-                process_suffix =
-                    std::string(" process=") +
-                    injectionKindName(process_axis[px]);
-            }
-            for (std::size_t v = 0; v < values; ++v) {
-                for (unsigned rep = 0; rep < replicates; ++rep) {
-                    SweepPoint point;
-                    point.mode = mode;
-                    point.replicate = rep;
-                    point.config = cfg;
-                    if (!process_axis.empty()) {
-                        point.config.process.kind =
-                            process_axis[px];
-                    }
-                    char buf[32];
-                    if (mode == SweepMode::Closed) {
-                        point.config.thinkTime = thinks[v];
-                        point.label =
-                            "think=" + std::to_string(thinks[v]);
-                    } else if (mode == SweepMode::Open) {
-                        point.config.injectProb = injects[v];
-                        std::snprintf(buf, sizeof(buf),
-                                      "inject=%g", injects[v]);
-                        point.label = buf;
-                    } else {
-                        point.config.session.rate =
-                            session_rates[v];
-                        std::snprintf(buf, sizeof(buf),
-                                      "session=%g",
-                                      session_rates[v]);
-                        point.label = buf;
-                    }
-                    point.label += policy_suffix;
-                    point.label += process_suffix;
-                    point.build =
-                        [point_recipe](std::uint64_t derived_seed) {
-                            return point_recipe.build(derived_seed);
-                        };
-                    out.points.push_back(std::move(point));
-                }
-            }
-        }
-    }
+    out.points = std::move(*points);
+    out.threads = config.threads;
+    out.engineThreads = config.engineThreads;
     return out;
-}
-
-std::optional<SweepFile>
-loadSweepFile(const std::string &path, std::string &error)
-{
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
-        return std::nullopt;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const auto slash = path.find_last_of('/');
-    const std::string base_dir =
-        slash == std::string::npos ? "" : path.substr(0, slash);
-    return parseSweepText(buffer.str(), error, base_dir);
 }
 
 } // namespace metro

@@ -1,38 +1,19 @@
 /**
  * @file
- * Text-format sweep specifications.
+ * Text-format sweep specifications: a whole experiment sweep in a
+ * small INI-like file (see experiments/fig3_sweep.ini and
+ * docs/sweep.md):
  *
- * metro_sim can run a whole experiment sweep — many (network,
- * experiment config, replicate) points — described by a small
- * INI-like file:
- *
- *     # Figure-3 load sweep, 4 replicates per point
- *     topology = fig3        # fig3|fig1|table32jr|fattree
- *     # spec = net.spec      # ...or a multibutterfly spec file
- *     # faults = net.faults  # fault schedule / campaign file
- *     # diagnosis = true     # attach the DiagnosisEngine
- *     mode = closed          # closed|open
- *     pattern = uniform
- *     think = 2000,200,20,0  # one point per value (closed mode)
- *     # inject = 0.01,0.02   # one point per value (open mode)
+ *     topology = fig3        # or: spec = net.spec
+ *     mode = closed          # closed|open|session
+ *     think = 2000,200,20,0  # one point per value
  *     replicates = 4
- *     seed = 777             # base seed (see docs/sweep.md)
- *     messageWords = 20
- *     warmup = 2000
- *     measure = 20000
- *     drainMax = 50000
- *     activeFraction = 1.0
- *     hotNode = 0
- *     hotFraction = 0.25
- *     requestReply = false
- *     threads = 8            # default; --threads on the CLI wins
- *     engineThreads = 4      # engine threads per instance;
- *                            # --engine-threads on the CLI wins
+ *     seed = 777             # base seed
  *
- * Unknown keys are errors; omitted keys keep their defaults. Each
- * point's experiment seed is derived from (seed, point index,
- * replicate) with sweepDeriveSeed(), so results are independent of
- * the thread count the sweep runs with.
+ * The keys are the point knobs of app/config.hh; each is also a
+ * metro_sim flag in kebab case (`messageWords` is
+ * `--message-words`). Unknown keys are errors; omitted keys keep
+ * their defaults.
  */
 
 #ifndef METRO_APP_SWEEPFILE_HH
@@ -68,10 +49,6 @@ struct SweepFile
 std::optional<SweepFile> parseSweepText(const std::string &text,
                                         std::string &error,
                                         const std::string &base_dir = "");
-
-/** Read and parse a sweep file from disk. */
-std::optional<SweepFile> loadSweepFile(const std::string &path,
-                                       std::string &error);
 
 } // namespace metro
 

@@ -29,10 +29,12 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(dt).count();
 }
 
-/** Run one point on the calling thread. */
+} // namespace
+
 SweepPointResult
 runPoint(const SweepPoint &point, std::uint64_t index,
-         unsigned engine_threads)
+         unsigned engine_threads,
+         const std::function<void(Network &)> &before_run)
 {
     METRO_ASSERT(static_cast<bool>(point.build),
                  "sweep point %llu (%s) has no build function",
@@ -56,6 +58,9 @@ runPoint(const SweepPoint &point, std::uint64_t index,
     if (engine_threads != 1)
         instance.network->engine().setThreads(engine_threads);
 
+    if (before_run)
+        before_run(*instance.network);
+
     ExperimentConfig cfg = point.config;
     cfg.seed = out.seed;
     switch (point.mode) {
@@ -74,8 +79,6 @@ runPoint(const SweepPoint &point, std::uint64_t index,
     out.wallSeconds = secondsSince(t0);
     return out;
 }
-
-} // namespace
 
 std::uint64_t
 sweepDeriveSeed(std::uint64_t base, std::uint64_t index,

@@ -170,6 +170,19 @@ std::uint64_t sweepDeriveSeed(std::uint64_t base,
                               std::uint64_t replicate);
 
 /**
+ * Run one point on the calling thread, exactly as a sweep worker
+ * does. `index` is the point's position in its sweep and feeds the
+ * seed derivation, so re-running points[i] with index i reproduces
+ * the sweep's result bit for bit. `before_run`, when set, sees the
+ * freshly built network before the experiment starts (e.g. to
+ * attach a ConnectionTracer); `point.inspect` sees it afterwards.
+ */
+SweepPointResult runPoint(const SweepPoint &point, std::uint64_t index,
+                          unsigned engine_threads = 1,
+                          const std::function<void(Network &)>
+                              &before_run = {});
+
+/**
  * Run every point (possibly in parallel) and return the results in
  * point order. Points must be self-contained; see SweepPoint.
  */

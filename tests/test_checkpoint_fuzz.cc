@@ -67,8 +67,8 @@ Options
 corpusOptions()
 {
     Options opts;
-    opts.topology = Topology::Fig1;
-    opts.thinkTimes = {200};
+    opts.config.network.kind = NetworkRecipe::Kind::Fig1;
+    opts.config.think = {200};
     opts.serve = true;
     opts.window = 1024;
     return opts;
@@ -84,22 +84,24 @@ struct Target
 
     explicit Target(const Options &opts)
     {
-        auto spec = fig1Spec(opts.seed);
-        opts.retry.apply(spec.niConfig.retry);
+        const std::uint64_t seed = opts.config.network.seed;
+        const ExperimentConfig &cfg = opts.config.experiment;
+        auto spec = fig1Spec(seed);
+        opts.config.network.retry.apply(spec.niConfig.retry);
         net = buildMultibutterfly(spec);
         const auto n =
             static_cast<unsigned>(net->numEndpoints());
         dests = std::make_unique<DestinationGenerator>(
-            opts.pattern, n, opts.seed ^ 0x77, opts.hotNode,
-            opts.hotFraction);
+            cfg.pattern, n, seed ^ 0x77, cfg.hotNode,
+            cfg.hotFraction);
         DriverConfig dcfg;
-        dcfg.messageWords = opts.messageWords;
+        dcfg.messageWords = cfg.messageWords;
         for (unsigned e = 0; e < n; ++e) {
             drivers.push_back(
                 std::make_unique<ClosedLoopDriver>(
                     &net->endpoint(e), dests.get(), dcfg,
-                    opts.thinkTimes[0],
-                    opts.seed ^ (0x5151ULL * (e + 1))));
+                    opts.config.think[0],
+                    seed ^ (0x5151ULL * (e + 1))));
             net->engine().addComponent(drivers.back().get());
         }
         parts.net = net.get();

@@ -1,14 +1,16 @@
 /**
  * @file
- * Parser robustness tests for the spec-file and sweep-file formats.
+ * Parser robustness tests for the command line and the spec, sweep
+ * and fault file formats.
  *
  * Replays the seed corpus under tests/corpus/ (the same inputs the
  * optional libFuzzer harnesses in fuzz/ start from) through
- * parseSpecText()/parseSweepText() as plain unit tests: every input
- * must parse or be rejected with an error — never crash, hang, or
- * blow memory. Inputs named valid_* must parse. Inline cases cover
- * the classic parser footguns: truncated lines, huge values,
- * duplicate keys, garbage bytes.
+ * parseOptions()/parseSpecText()/parseSweepText()/parseFaultText()
+ * as plain unit tests (an argv seed holds one argument per line):
+ * every input must parse or be rejected with an error — never
+ * crash, hang, or blow memory. Inputs named valid_* must parse.
+ * Inline cases cover the classic parser footguns: truncated lines,
+ * huge values, duplicate keys, garbage bytes.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "app/faultfile.hh"
+#include "app/options.hh"
 #include "app/specfile.hh"
 #include "app/sweepfile.hh"
 
@@ -52,6 +55,30 @@ slurp(const std::filesystem::path &path)
     std::stringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+TEST(ParserCorpus, ArgvSeedsNeverCrash)
+{
+    const auto files = corpusFiles("argv");
+    ASSERT_FALSE(files.empty());
+    for (const auto &path : files) {
+        std::vector<std::string> args = {"metro_sim"};
+        std::istringstream in(slurp(path));
+        for (std::string arg; std::getline(in, arg);)
+            args.push_back(arg);
+        std::vector<const char *> argv;
+        for (const auto &a : args)
+            argv.push_back(a.c_str());
+        std::string error;
+        const auto opts = parseOptions(static_cast<int>(argv.size()),
+                                       argv.data(), error);
+        if (path.filename().string().rfind("valid_", 0) == 0) {
+            EXPECT_TRUE(opts.has_value())
+                << path << ": " << error;
+        } else if (!opts.has_value()) {
+            EXPECT_FALSE(error.empty()) << path;
+        }
+    }
 }
 
 TEST(ParserCorpus, SpecfileSeedsNeverCrash)

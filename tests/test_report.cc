@@ -73,9 +73,9 @@ TEST(Options, Defaults)
     std::string error;
     const auto opts = parse({}, error);
     ASSERT_TRUE(opts.has_value()) << error;
-    EXPECT_EQ(opts->topology, Topology::Fig3);
-    EXPECT_EQ(opts->mode, LoadMode::Closed);
-    EXPECT_EQ(opts->messageWords, 20u);
+    EXPECT_EQ(opts->config.network.kind, NetworkRecipe::Kind::Fig3);
+    EXPECT_EQ(opts->config.mode, SweepMode::Closed);
+    EXPECT_EQ(opts->config.experiment.messageWords, 20u);
     EXPECT_FALSE(opts->csv);
 }
 
@@ -91,18 +91,18 @@ TEST(Options, ParsesSweepsAndFlags)
                              "--fault-cycle=1000"},
                             error);
     ASSERT_TRUE(opts.has_value()) << error;
-    EXPECT_EQ(opts->topology, Topology::Fig1);
-    EXPECT_EQ(opts->mode, LoadMode::Open);
-    EXPECT_EQ(opts->injectProbs,
-              (std::vector<double>{0.01, 0.05}));
-    EXPECT_EQ(opts->thinkTimes, (std::vector<unsigned>{5, 10, 15}));
+    const SweepConfig &c = opts->config;
+    EXPECT_EQ(c.network.kind, NetworkRecipe::Kind::Fig1);
+    EXPECT_EQ(c.mode, SweepMode::Open);
+    EXPECT_EQ(c.inject, (std::vector<double>{0.01, 0.05}));
+    EXPECT_EQ(c.think, (std::vector<unsigned>{5, 10, 15}));
     EXPECT_TRUE(opts->csv);
-    EXPECT_EQ(opts->pattern, TrafficPattern::Hotspot);
-    EXPECT_EQ(opts->hotNode, 7u);
-    EXPECT_DOUBLE_EQ(opts->hotFraction, 0.5);
-    EXPECT_EQ(opts->seed, 99u);
-    EXPECT_EQ(opts->routerFaults, 2u);
-    EXPECT_EQ(opts->faultCycle, 1000u);
+    EXPECT_EQ(c.experiment.pattern, TrafficPattern::Hotspot);
+    EXPECT_EQ(c.experiment.hotNode, 7u);
+    EXPECT_DOUBLE_EQ(c.experiment.hotFraction, 0.5);
+    EXPECT_EQ(c.network.seed, 99u);
+    EXPECT_EQ(c.network.routerFaults, 2u);
+    EXPECT_EQ(c.network.faultCycle, 1000u);
 }
 
 TEST(Options, RejectsBadInput)
@@ -128,11 +128,11 @@ TEST(Options, HelpShortCircuits)
 TEST(Runner, ClosedLoopTableOutput)
 {
     Options opts;
-    opts.topology = Topology::Fig1;
-    opts.thinkTimes = {100};
-    opts.warmup = 200;
-    opts.measure = 1500;
-    opts.messageWords = 8;
+    opts.config.network.kind = NetworkRecipe::Kind::Fig1;
+    opts.config.think = {100};
+    opts.config.experiment.warmup = 200;
+    opts.config.experiment.measure = 1500;
+    opts.config.experiment.messageWords = 8;
     const auto report = runFromOptions(opts);
     EXPECT_NE(report.find("closed-loop"), std::string::npos);
     EXPECT_NE(report.find("think=100"), std::string::npos);
@@ -141,11 +141,11 @@ TEST(Runner, ClosedLoopTableOutput)
 TEST(Runner, CsvOutputParsesAsRows)
 {
     Options opts;
-    opts.topology = Topology::Fig1;
-    opts.thinkTimes = {50, 5};
-    opts.warmup = 200;
-    opts.measure = 1500;
-    opts.messageWords = 8;
+    opts.config.network.kind = NetworkRecipe::Kind::Fig1;
+    opts.config.think = {50, 5};
+    opts.config.experiment.warmup = 200;
+    opts.config.experiment.measure = 1500;
+    opts.config.experiment.messageWords = 8;
     opts.csv = true;
     const auto report = runFromOptions(opts);
     // Header + 2 data rows.
@@ -162,23 +162,51 @@ TEST(Runner, CsvOutputParsesAsRows)
 TEST(Runner, FaultedRunStillCompletes)
 {
     Options opts;
-    opts.topology = Topology::Fig3;
-    opts.thinkTimes = {20};
-    opts.warmup = 200;
-    opts.measure = 1500;
-    opts.routerFaults = 2;
-    opts.linkFaults = 4;
+    opts.config.network.kind = NetworkRecipe::Kind::Fig3;
+    opts.config.think = {20};
+    opts.config.experiment.warmup = 200;
+    opts.config.experiment.measure = 1500;
+    opts.config.network.routerFaults = 2;
+    opts.config.network.linkFaults = 4;
     const auto report = runFromOptions(opts);
     EXPECT_NE(report.find("think=20"), std::string::npos);
+}
+
+TEST(Runner, SessionStatsDescribeTheReportedPoint)
+{
+    // --stats reads its counters off a re-run of the last point; that
+    // re-run must be the same session-mode point the table reports.
+    std::string error;
+    const auto opts = parse({"--topology=fig1", "--mode=session",
+                             "--session-rate=0.01", "--warmup=200",
+                             "--measure=2000", "--stats"},
+                            error);
+    ASSERT_TRUE(opts.has_value()) << error;
+    const auto report = runFromOptions(*opts);
+    EXPECT_NE(report.find("metro_sim: session-loop"), std::string::npos)
+        << report;
+
+    // The point, run directly: sweep point 0 of base seed 1.
+    auto net = buildMultibutterfly(fig1Spec(1));
+    ExperimentConfig cfg;
+    cfg.warmup = 200;
+    cfg.measure = 2000;
+    cfg.session.rate = 0.01;
+    cfg.seed = sweepDeriveSeed(1, 0, 0);
+    runSessionLoop(*net, cfg);
+    const std::string submitted =
+        "messages: " + std::to_string(net->tracker().all().size()) +
+        " submitted";
+    EXPECT_NE(report.find(submitted), std::string::npos) << report;
 }
 
 TEST(Runner, FatTreeTopology)
 {
     Options opts;
-    opts.topology = Topology::FatTree;
-    opts.thinkTimes = {30};
-    opts.warmup = 200;
-    opts.measure = 1500;
+    opts.config.network.kind = NetworkRecipe::Kind::FatTree;
+    opts.config.think = {30};
+    opts.config.experiment.warmup = 200;
+    opts.config.experiment.measure = 1500;
     const auto report = runFromOptions(opts);
     EXPECT_NE(report.find("think=30"), std::string::npos);
 }

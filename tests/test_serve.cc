@@ -507,13 +507,13 @@ TEST(Serve, ParseMaintenanceOp)
 TEST(Serve, CanonicalConfigExcludesThreadCounts)
 {
     Options a;
-    a.topology = Topology::Fig1;
-    a.thinkTimes = {200};
+    a.config.network.kind = NetworkRecipe::Kind::Fig1;
+    a.config.think = {200};
     Options b = a;
-    b.threads = 8;
-    b.engineThreads = 4;
+    b.config.threads = 8;
+    b.config.engineThreads = 4;
     EXPECT_EQ(canonicalConfigString(a), canonicalConfigString(b));
-    b.seed = 2;
+    b.config.network.seed = 2;
     EXPECT_NE(canonicalConfigString(a), canonicalConfigString(b));
     EXPECT_NE(checkpointDigest(canonicalConfigString(a)),
               checkpointDigest(canonicalConfigString(b)));
