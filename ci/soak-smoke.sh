@@ -15,6 +15,9 @@
 # both word-conservation identities at every window boundary, so a
 # byte-equal diff is a full end-to-end state check.
 #
+# A second leg repeats the check with the diagnosis engine masking
+# a dead injection wire across the cut.
+#
 # Usage: ci/soak-smoke.sh [build-dir]   (default: build-ci)
 
 set -euo pipefail
@@ -42,45 +45,61 @@ flakyPeriod = 512
 start = 1000
 EOF
 
-FLAGS=(--topology=fig1 --serve --window=1024 --think=200
-       --fault-file="$WORK/campaign.fault"
-       --maintain=2@4096+4096)
-TOTAL=24576
-CUT=12288
+# soak NAME TOTAL CUT FLAGS...: the three-way check for one serve
+# scenario.
+soak() {
+    local name="$1" total="$2" cut="$3"
+    shift 3
+    local dir="$WORK/$name"
+    mkdir -p "$dir"
 
-echo "==> serve soak: uninterrupted reference ($TOTAL cycles)"
-"$SIM" "${FLAGS[@]}" --serve-cycles="$TOTAL" > "$WORK/full.jsonl"
+    echo "==> $name: uninterrupted reference ($total cycles)"
+    "$SIM" "$@" --serve-cycles="$total" > "$dir/full.jsonl"
 
-echo "==> serve soak: run to checkpoint at $CUT, then exit"
-"$SIM" "${FLAGS[@]}" --serve-cycles="$CUT" \
-    --checkpoint-out="$WORK/cut.ckpt" --checkpoint-at="$CUT" \
-    > "$WORK/pre.jsonl"
+    echo "==> $name: run to checkpoint at $cut, then exit"
+    "$SIM" "$@" --serve-cycles="$cut" \
+        --checkpoint-out="$dir/cut.ckpt" --checkpoint-at="$cut" \
+        > "$dir/pre.jsonl"
 
-echo "==> serve soak: restore and serve the remainder"
-"$SIM" "${FLAGS[@]}" --serve-cycles="$TOTAL" \
-    --restore="$WORK/cut.ckpt" > "$WORK/post.jsonl"
+    echo "==> $name: restore and serve the remainder"
+    "$SIM" "$@" --serve-cycles="$total" \
+        --restore="$dir/cut.ckpt" > "$dir/post.jsonl"
 
-cat "$WORK/pre.jsonl" "$WORK/post.jsonl" > "$WORK/resumed.jsonl"
-if ! diff -q "$WORK/full.jsonl" "$WORK/resumed.jsonl" > /dev/null
-then
-    echo "FAIL: resumed window stream diverges from uninterrupted"
-    diff "$WORK/full.jsonl" "$WORK/resumed.jsonl" | head -20
-    exit 1
-fi
-echo "    resumed stream byte-identical"
-
-echo "==> serve soak: restore across engine thread counts"
-for T in 2 4; do
-    "$SIM" "${FLAGS[@]}" --serve-cycles="$TOTAL" \
-        --engine-threads="$T" --restore="$WORK/cut.ckpt" \
-        > "$WORK/post-t$T.jsonl"
-    if ! diff -q "$WORK/post.jsonl" "$WORK/post-t$T.jsonl" \
-        > /dev/null
+    cat "$dir/pre.jsonl" "$dir/post.jsonl" > "$dir/resumed.jsonl"
+    if ! diff -q "$dir/full.jsonl" "$dir/resumed.jsonl" > /dev/null
     then
-        echo "FAIL: restore under --engine-threads=$T diverges"
+        echo "FAIL: resumed window stream diverges from uninterrupted"
+        diff "$dir/full.jsonl" "$dir/resumed.jsonl" | head -20
         exit 1
     fi
-done
-echo "    cross-thread restores byte-identical"
+    echo "    resumed stream byte-identical"
+
+    echo "==> $name: restore across engine thread counts"
+    for T in 2 4; do
+        "$SIM" "$@" --serve-cycles="$total" \
+            --engine-threads="$T" --restore="$dir/cut.ckpt" \
+            > "$dir/post-t$T.jsonl"
+        if ! diff -q "$dir/post.jsonl" "$dir/post-t$T.jsonl" \
+            > /dev/null
+        then
+            echo "FAIL: restore under --engine-threads=$T diverges"
+            exit 1
+        fi
+    done
+    echo "    cross-thread restores byte-identical"
+}
+
+soak "serve soak" 24576 12288 \
+    --topology=fig1 --serve --window=1024 --think=200 \
+    --fault-file="$WORK/campaign.fault" --maintain=2@4096+4096
+
+# Diagnosis leg: link 0 is endpoint 0's injection wire. Diagnosis
+# masks a dead injection wire at the endpoint (no router upstream to
+# probe from), and the cut lands while that mask is live, so the
+# restore must rebuild a mask that has no router-output wire entry.
+printf 'fault = 0 linkDead 0\n' > "$WORK/inject.fault"
+soak "diagnosis soak" 8192 2048 \
+    --topology=fig1 --serve --window=1024 --think=20 --diagnosis \
+    --fault-file="$WORK/inject.fault"
 
 echo "==> serve soak passed"

@@ -5,22 +5,29 @@
  * A checkpoint restores into a *live* simulation instance, so a
  * hostile or corrupted file is the highest-risk input the serve
  * path takes: every count is attacker-controlled and most fields
- * index into engine structures. restoreCheckpointBytes must reject
- * arbitrary bytes with an error — never crash, assert, index out
- * of range, or allocate unbounded memory.
+ * index into engine structures. The restore must reject arbitrary
+ * bytes with an error — never crash, assert, index out of range,
+ * or allocate unbounded memory.
  *
- * The target instance is built once and reused: a failed restore
- * may leave it partially overwritten, which is exactly the state a
- * real process would be in, and later iterations must still be
- * safe against it. The digest is read back out of the input's own
- * header so fuzzing reaches past the header check into the tagged
+ * Each input restores into two targets, the instances metro_sim
+ * --serve builds for the two valid seeds' flag sets: plain fig1,
+ * and fig1 with diagnosis, a fault schedule and campaign, and a
+ * maintenance op, so the DIAG, CAMP, INJE and harness decoders are
+ * reached too. Restores go through ServiceRunner, which decodes the
+ * harness section after the simulation state.
+ *
+ * The targets are built once and reused: a failed restore may leave
+ * one partially overwritten, which is exactly the state a real
+ * process would be in, and later iterations must still be safe
+ * against it. The digest is read back out of the input's own header
+ * so fuzzing reaches past the header check into the tagged
  * sections.
  *
- * Each input restores twice: once verbatim (exercising the
- * integrity-footer gate, which rejects almost every mutation), and
- * once with a freshly computed valid footer appended (so mutations
- * keep reaching the header check and section decoders behind the
- * gate).
+ * Each input restores twice per target: once verbatim (exercising
+ * the integrity-footer gate, which rejects almost every mutation),
+ * and once with a freshly computed valid footer appended (so
+ * mutations keep reaching the header check and section decoders
+ * behind the gate).
  *
  * Seed corpus: tests/corpus/checkpoint/ (replayed as plain ctest
  * cases by tests/test_checkpoint_fuzz.cc on non-clang toolchains).
@@ -29,53 +36,62 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "network/multibutterfly.hh"
-#include "network/presets.hh"
+#include "app/options.hh"
 #include "serve/checkpoint.hh"
-#include "traffic/drivers.hh"
-#include "traffic/patterns.hh"
+#include "serve/service.hh"
 
 namespace
 {
 
-struct Target
+/** The seeds' flag sets (see tests/test_checkpoint_fuzz.cc):
+ *  --topology=fig1 --serve --window=1024 --think=200, and the same
+ *  plus --diagnosis --fault-file=diag_campaign.fault
+ *  --maintain=2@2048+4096. */
+metro::Options
+seedOptions(bool diag)
 {
-    std::unique_ptr<metro::Network> net;
-    std::unique_ptr<metro::DestinationGenerator> dests;
-    std::vector<std::unique_ptr<metro::ClosedLoopDriver>> drivers;
-    metro::CheckpointParticipants parts;
-
-    Target()
-    {
-        net = metro::buildMultibutterfly(metro::fig1Spec(1));
-        const auto n =
-            static_cast<unsigned>(net->numEndpoints());
-        dests = std::make_unique<metro::DestinationGenerator>(
-            metro::TrafficPattern::UniformRandom, n, 0x77, 0,
-            0.25);
-        metro::DriverConfig dcfg;
-        dcfg.messageWords = 8;
-        for (unsigned e = 0; e < n; ++e) {
-            drivers.push_back(
-                std::make_unique<metro::ClosedLoopDriver>(
-                    &net->endpoint(e), dests.get(), dcfg, 150,
-                    0x5151ULL * (e + 1)));
-            net->engine().addComponent(drivers.back().get());
-        }
-        parts.net = net.get();
-        for (auto &d : drivers)
-            parts.closedDrivers.push_back(d.get());
+    metro::Options opts;
+    opts.config.network.kind = metro::NetworkRecipe::Kind::Fig1;
+    opts.config.think = {200};
+    opts.serve = true;
+    opts.window = 1024;
+    if (diag) {
+        std::string error;
+        opts.config.network.diagnosis = true;
+        opts.config.network.faultPath = "diag_campaign.fault";
+        opts.config.network.faults = metro::parseFaultText(
+            "linkFailRate = 0.0008\nlinkHealRate = 0.008\n"
+            "corruptFraction = 0.25\nflakyLinks = 2\n"
+            "flakyPeriod = 512\nstart = 1000\n"
+            "fault = 500 linkDead 40\n",
+            error);
+        opts.maintain = {"2@2048+4096"};
     }
-};
+    return opts;
+}
+
+void
+restoreInto(metro::ServeSetup &target, const std::uint8_t *data,
+            std::size_t size, std::uint64_t digest)
+{
+    metro::ServeConfig cfg = target.config;
+    cfg.configDigest = digest;
+    metro::ServiceRunner runner(cfg, target.parts);
+    runner.restoreFromBytes(data, size);
+}
 
 } // namespace
 
 extern "C" int
 LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
 {
-    static Target target;
+    static const std::unique_ptr<metro::ServeSetup> targets[] = {
+        metro::buildServeSetup(seedOptions(false)),
+        metro::buildServeSetup(seedOptions(true)),
+    };
     // Mirror the digest the input claims (header offset 8) so the
     // compatibility gate passes and the section decoders fuzz.
     std::uint64_t digest = 0;
@@ -83,17 +99,16 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
         for (int b = 0; b < 8; ++b)
             digest |= static_cast<std::uint64_t>(data[8 + b])
                       << (8 * b);
-    std::vector<std::uint8_t> blob;
-    metro::restoreCheckpointBytes(data, size, digest, target.parts,
-                                  &blob);
 
-    // Pass 2: same bytes blessed with a valid footer, so the
-    // mutation lands on the section decoders instead of dying at
-    // the checksum.
+    // Pass 2's input: the same bytes blessed with a valid footer,
+    // so the mutation lands on the section decoders instead of
+    // dying at the checksum.
     std::vector<std::uint8_t> blessed(data, data + size);
     metro::appendCheckpointFooter(blessed);
-    blob.clear();
-    metro::restoreCheckpointBytes(blessed.data(), blessed.size(),
-                                  digest, target.parts, &blob);
+
+    for (const auto &target : targets) {
+        restoreInto(*target, data, size, digest);
+        restoreInto(*target, blessed.data(), blessed.size(), digest);
+    }
     return 0;
 }

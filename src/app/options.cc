@@ -190,74 +190,9 @@ pointsOrDie(const SweepConfig &config)
 std::string
 runServe(const Options &opts)
 {
-    const SweepPoint point = pointsOrDie(opts.config).front();
-    const ExperimentConfig &cfg = point.config;
-    SweepInstance instance = point.build(cfg.seed);
-    Network &net = *instance.network;
-    Engine &engine = net.engine();
-
-    const auto n = static_cast<unsigned>(net.numEndpoints());
-    DestinationGenerator dests(cfg.pattern, n, cfg.seed ^ 0x77,
-                               cfg.hotNode, cfg.hotFraction);
-    DriverConfig dcfg;
-    dcfg.messageWords = cfg.messageWords;
-    dcfg.process = cfg.process;
-    dcfg.size = cfg.size;
-    dcfg.fanout = cfg.fanout;
-    dcfg.classMix = cfg.classMix;
-    // stopAt stays kNever: serve runs until stopped, not drained.
-
-    // Same per-endpoint seed derivation as the experiment runner so
-    // serve traffic matches a sweep point with the same options.
-    CheckpointParticipants parts;
-    parts.net = &net;
-    std::vector<std::unique_ptr<Component>> drivers;
-    for (unsigned e = 0; e < n; ++e) {
-        if (point.mode == SweepMode::Closed) {
-            auto d = std::make_unique<ClosedLoopDriver>(
-                &net.endpoint(e), &dests, dcfg, cfg.thinkTime,
-                cfg.seed ^ (0x5151ULL * (e + 1)));
-            parts.closedDrivers.push_back(d.get());
-            drivers.push_back(std::move(d));
-        } else {
-            auto d = std::make_unique<OpenLoopDriver>(
-                &net.endpoint(e), &dests, dcfg, cfg.injectProb,
-                cfg.seed ^ (0x7272ULL * (e + 1)));
-            parts.openDrivers.push_back(d.get());
-            drivers.push_back(std::move(d));
-        }
-        engine.addComponent(drivers.back().get());
-    }
-    for (auto &extra : instance.extras) {
-        if (auto *p = dynamic_cast<FaultInjector *>(extra.get()))
-            parts.injector = p;
-        if (auto *p = dynamic_cast<FaultCampaign *>(extra.get()))
-            parts.campaign = p;
-        if (auto *p = dynamic_cast<DiagnosisEngine *>(extra.get()))
-            parts.diagnosis = p;
-    }
-
-    if (opts.config.engineThreads != 1)
-        engine.setThreads(opts.config.engineThreads);
-
-    ServeConfig scfg;
-    scfg.window = opts.window;
-    scfg.runCycles = opts.serveCycles;
-    scfg.configDigest = checkpointDigest(canonicalConfigString(opts));
-    scfg.checkpointOut = opts.checkpointOut;
-    scfg.checkpointAt = opts.checkpointAt;
-    scfg.checkpointEvery = opts.checkpointEvery;
-    scfg.checkpointKeep = opts.checkpointKeep;
-    scfg.crashAtCycle = opts.crashAtCycle;
-    scfg.stallAtCycle = opts.stallAtCycle;
-    for (const auto &text : opts.maintain) {
-        MaintenanceOp op;
-        if (!parseMaintenanceOp(text, op))
-            METRO_FATAL("bad --maintain value: %s", text.c_str());
-        scfg.maintenance.push_back(op);
-    }
-
-    ServiceRunner runner(scfg, parts);
+    const auto setup = buildServeSetup(opts);
+    Network &net = *setup->instance.network;
+    ServiceRunner runner(setup->config, setup->parts);
     runner.setEmitter([](const std::string &line) {
         std::fwrite(line.data(), 1, line.size(), stdout);
         std::fputc('\n', stdout);
@@ -320,6 +255,78 @@ runServe(const Options &opts)
 }
 
 } // namespace
+
+std::unique_ptr<ServeSetup>
+buildServeSetup(const Options &opts)
+{
+    auto setup = std::make_unique<ServeSetup>();
+    const SweepPoint point = pointsOrDie(opts.config).front();
+    const ExperimentConfig &cfg = point.config;
+    setup->instance = point.build(cfg.seed);
+    Network &net = *setup->instance.network;
+    Engine &engine = net.engine();
+
+    const auto n = static_cast<unsigned>(net.numEndpoints());
+    setup->dests = std::make_unique<DestinationGenerator>(
+        cfg.pattern, n, cfg.seed ^ 0x77, cfg.hotNode, cfg.hotFraction);
+    DriverConfig dcfg;
+    dcfg.messageWords = cfg.messageWords;
+    dcfg.process = cfg.process;
+    dcfg.size = cfg.size;
+    dcfg.fanout = cfg.fanout;
+    dcfg.classMix = cfg.classMix;
+    // stopAt stays kNever: serve runs until stopped, not drained.
+
+    // Same per-endpoint seed derivation as the experiment runner so
+    // serve traffic matches a sweep point with the same options.
+    CheckpointParticipants &parts = setup->parts;
+    parts.net = &net;
+    for (unsigned e = 0; e < n; ++e) {
+        if (point.mode == SweepMode::Closed) {
+            auto d = std::make_unique<ClosedLoopDriver>(
+                &net.endpoint(e), setup->dests.get(), dcfg,
+                cfg.thinkTime, cfg.seed ^ (0x5151ULL * (e + 1)));
+            parts.closedDrivers.push_back(d.get());
+            setup->drivers.push_back(std::move(d));
+        } else {
+            auto d = std::make_unique<OpenLoopDriver>(
+                &net.endpoint(e), setup->dests.get(), dcfg,
+                cfg.injectProb, cfg.seed ^ (0x7272ULL * (e + 1)));
+            parts.openDrivers.push_back(d.get());
+            setup->drivers.push_back(std::move(d));
+        }
+        engine.addComponent(setup->drivers.back().get());
+    }
+    for (auto &extra : setup->instance.extras) {
+        if (auto *p = dynamic_cast<FaultInjector *>(extra.get()))
+            parts.injector = p;
+        if (auto *p = dynamic_cast<FaultCampaign *>(extra.get()))
+            parts.campaign = p;
+        if (auto *p = dynamic_cast<DiagnosisEngine *>(extra.get()))
+            parts.diagnosis = p;
+    }
+
+    if (opts.config.engineThreads != 1)
+        engine.setThreads(opts.config.engineThreads);
+
+    ServeConfig &scfg = setup->config;
+    scfg.window = opts.window;
+    scfg.runCycles = opts.serveCycles;
+    scfg.configDigest = checkpointDigest(canonicalConfigString(opts));
+    scfg.checkpointOut = opts.checkpointOut;
+    scfg.checkpointAt = opts.checkpointAt;
+    scfg.checkpointEvery = opts.checkpointEvery;
+    scfg.checkpointKeep = opts.checkpointKeep;
+    scfg.crashAtCycle = opts.crashAtCycle;
+    scfg.stallAtCycle = opts.stallAtCycle;
+    for (const auto &text : opts.maintain) {
+        MaintenanceOp op;
+        if (!parseMaintenanceOp(text, op))
+            METRO_FATAL("bad --maintain value: %s", text.c_str());
+        scfg.maintenance.push_back(op);
+    }
+    return setup;
+}
 
 const std::vector<Knob<Options>> &
 runKnobs()

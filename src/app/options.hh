@@ -9,11 +9,14 @@
 #ifndef METRO_APP_OPTIONS_HH
 #define METRO_APP_OPTIONS_HH
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "app/config.hh"
+#include "serve/service.hh"
+#include "traffic/patterns.hh"
 
 namespace metro
 {
@@ -81,6 +84,25 @@ struct Options
  * byte-identical.
  */
 std::string canonicalConfigString(const Options &opts);
+
+/**
+ * The instance `--serve` runs: the first sweep point's network and
+ * extras, one driver per endpoint (closed or open loop, seeded as
+ * the experiment runner seeds them), everything a checkpoint covers,
+ * and the runner settings. Tests and the checkpoint fuzzer restore
+ * into this same shape.
+ */
+struct ServeSetup
+{
+    SweepInstance instance;
+    std::unique_ptr<DestinationGenerator> dests;
+    std::vector<std::unique_ptr<Component>> drivers;
+    CheckpointParticipants parts;
+    ServeConfig config;
+};
+
+/** Build the serve instance for `opts` (fatal on a bad option). */
+std::unique_ptr<ServeSetup> buildServeSetup(const Options &opts);
 
 /** The command-line-only knob table. */
 const std::vector<Knob<Options>> &runKnobs();

@@ -75,15 +75,21 @@ struct CheckpointParticipants
     DiagnosisEngine *diagnosis = nullptr;
 };
 
-/** FNV-1a over a canonical config string: save and restore must
- *  agree on it or restore refuses. Callers building the string must
- *  exclude engine-thread counts (restoring into a different thread
- *  count is supported and byte-identical). */
-std::uint64_t checkpointDigest(const std::string &canonical);
-
 /** FNV-1a over raw bytes (the footer checksum). */
 std::uint64_t checkpointChecksum(const std::uint8_t *data,
                                  std::size_t size);
+
+/** checkpointChecksum over a canonical config string: save and
+ *  restore must agree on it or restore refuses. Callers building the
+ *  string must exclude engine-thread counts (restoring into a
+ *  different thread count is supported and byte-identical). */
+inline std::uint64_t
+checkpointDigest(const std::string &canonical)
+{
+    return checkpointChecksum(
+        reinterpret_cast<const std::uint8_t *>(canonical.data()),
+        canonical.size());
+}
 
 /** Append the whole-file integrity footer over everything already
  *  in `bytes`. saveCheckpointBytes does this itself; exposed so the

@@ -382,113 +382,95 @@ ServiceRunner::windowJson(Cycle now, const MetricsRegistry &delta,
     return out;
 }
 
-std::vector<std::uint8_t>
-ServiceRunner::harnessBlob() const
+template <class Ar, class Self>
+void
+ServiceRunner::state(Ar &ar, Self &self)
 {
-    StateWriter w;
-    w.u64(windowIndex_);
-    w.u8(checkpointDone_ ? 1 : 0);
-    w.u64(nextCheckpointAt_);
-    w.u64(ops_.size());
-    for (const OpState &st : ops_) {
-        w.u8(static_cast<std::uint8_t>(st.phase));
-        w.u64(st.reenableCursor);
-        w.u64(st.feeders.size());
-        for (const OpState::Feeder &f : st.feeders) {
-            w.u8(f.fromRouter ? 1 : 0);
-            w.u32(f.id);
-            w.u32(f.port);
-            w.u8(f.prevEnabled ? 1 : 0);
-        }
-        w.u64(st.savedForward.size());
-        for (std::uint8_t v : st.savedForward)
-            w.u8(v);
-        w.u64(st.savedBackward.size());
-        for (std::uint8_t v : st.savedBackward)
-            w.u8(v);
+    Network &net = *self.parts_.net;
+    ar.u64(self.windowIndex_);
+    ar.u8(self.checkpointDone_);
+    // The saver advanced its schedule before serializing, so this is
+    // the next due cycle from the restore point onward.
+    ar.u64(self.nextCheckpointAt_);
+    ar.expectSize(self.ops_.size(), 10,
+                  "maintenance op count mismatch (same --maintain "
+                  "flags required on restore)");
+    for (std::size_t k = 0; k < self.ops_.size(); ++k) {
+        const MaintenanceOp &op = self.config_.maintenance[k];
+        ar.staged(self.ops_[k], [&](auto &ar, auto &st) {
+            ar.enumeration(st.phase, OpState::Phase::Done,
+                           "invalid maintenance phase");
+            ar.u64(st.reenableCursor);
+            ar.seq(st.feeders, 10, [&net](auto &ar, auto &f) {
+                ar.u8(f.fromRouter);
+                ar.u32(f.id);
+                ar.u32(f.port);
+                ar.u8(f.prevEnabled);
+                ar.check(
+                    [&] {
+                        if (f.fromRouter)
+                            return f.id < net.numRouters() &&
+                                   f.port < net.router(f.id)
+                                                .config()
+                                                .backwardEnabled.size();
+                        return f.id < net.numEndpoints() &&
+                               f.port < net.endpoint(f.id).numOutPorts();
+                    },
+                    "maintenance feeder out of range");
+            });
+            const auto byte = [](auto &ar, auto &v) { ar.u8(v); };
+            ar.seq(st.savedForward, 1, byte);
+            ar.seq(st.savedBackward, 1, byte);
+            ar.check([&] { return op.router < net.numRouters(); },
+                     "maintenance router out of range");
+            ar.check(
+                [&] {
+                    const RouterConfig &cfg =
+                        net.router(op.router).config();
+                    const std::size_t nFwd = st.savedForward.size();
+                    const std::size_t nBwd = st.savedBackward.size();
+                    return (nFwd == 0 ||
+                            nFwd == cfg.forwardEnabled.size()) &&
+                           (nBwd == 0 ||
+                            nBwd == cfg.backwardEnabled.size());
+                },
+                "maintenance saved-enable size mismatch");
+            ar.check(
+                [&] {
+                    return st.reenableCursor <=
+                           st.savedForward.size() +
+                               st.savedBackward.size();
+                },
+                "maintenance re-enable cursor out of range");
+        });
     }
-    return w.take();
+}
+
+std::vector<std::uint8_t>
+ServiceRunner::checkpointBytes() const
+{
+    StateWriter harness;
+    state(harness, *this);
+    return saveCheckpointBytes(config_.configDigest, parts_,
+                               harness.buffer());
 }
 
 std::string
-ServiceRunner::applyHarnessBlob(const std::vector<std::uint8_t> &blob)
+ServiceRunner::restoreHarness(const std::vector<std::uint8_t> &blob)
 {
-    Network &net = *parts_.net;
-    StateReader r(blob.data(), blob.size());
-    const std::uint64_t windowIndex = r.u64();
-    const bool checkpointDone = r.u8() != 0;
-    const Cycle nextCheckpointAt = r.u64();
-    const std::uint64_t nOps = r.count(10);
-    if (r.ok() && nOps != ops_.size())
-        r.fail("maintenance op count mismatch (same --maintain "
-               "flags required on restore)");
-    if (!r.ok())
-        return r.error();
-    std::vector<OpState> ops(nOps);
-    for (std::size_t k = 0; k < nOps; ++k) {
-        OpState &st = ops[k];
-        const std::uint8_t phase = r.u8();
-        st.reenableCursor = r.u64();
-        const std::uint64_t nFeeders = r.count(10);
+    if (!blob.empty()) {
+        StateReader r(blob.data(), blob.size());
+        state(r, *this);
         if (!r.ok())
             return r.error();
-        if (phase > static_cast<std::uint8_t>(OpState::Phase::Done))
-            return "invalid maintenance phase";
-        st.phase = static_cast<OpState::Phase>(phase);
-        st.feeders.resize(nFeeders);
-        for (OpState::Feeder &f : st.feeders) {
-            f.fromRouter = r.u8() != 0;
-            f.id = r.u32();
-            f.port = r.u32();
-            f.prevEnabled = r.u8() != 0;
-            if (!r.ok())
-                return r.error();
-            if (f.fromRouter) {
-                if (f.id >= net.numRouters() ||
-                    f.port >= net.router(f.id)
-                                  .config()
-                                  .backwardEnabled.size())
-                    return "maintenance feeder out of range";
-            } else {
-                if (f.id >= net.numEndpoints() ||
-                    f.port >= net.endpoint(f.id).numOutPorts())
-                    return "maintenance feeder out of range";
-            }
-        }
-        const std::uint64_t nFwd = r.count(1);
-        if (!r.ok())
-            return r.error();
-        st.savedForward.resize(nFwd);
-        for (auto &v : st.savedForward)
-            v = r.u8();
-        const std::uint64_t nBwd = r.count(1);
-        if (!r.ok())
-            return r.error();
-        st.savedBackward.resize(nBwd);
-        for (auto &v : st.savedBackward)
-            v = r.u8();
-        const MaintenanceOp &op = config_.maintenance[k];
-        if (op.router >= net.numRouters())
-            return "maintenance router out of range";
-        const RouterConfig &cfg = net.router(op.router).config();
-        const bool sizesOk =
-            (nFwd == 0 || nFwd == cfg.forwardEnabled.size()) &&
-            (nBwd == 0 || nBwd == cfg.backwardEnabled.size());
-        if (!sizesOk)
-            return "maintenance saved-enable size mismatch";
-        if (st.reenableCursor > nFwd + nBwd)
-            return "maintenance re-enable cursor out of range";
+    } else {
+        // Checkpoint taken outside serve mode: derive the window
+        // index from the clock (serve always starts at cycle 0).
+        windowIndex_ = parts_.net->engine().now() / config_.window;
     }
-    if (!r.ok())
-        return r.error();
-    windowIndex_ = windowIndex;
-    checkpointDone_ = checkpointDone;
-    // The saver advanced its schedule *before* serializing, so this
-    // is the next due cycle from the restore point onward (the
-    // saver's own checkpointEvery wins over ours only in the blob's
-    // absence — i.e. never; same flags are required on restore).
-    nextCheckpointAt_ = nextCheckpointAt;
-    ops_ = std::move(ops);
+    // The boundary snapshot is a pure function of restored state;
+    // recomputing it reproduces the saver's byte-for-byte.
+    prev_ = parts_.net->metricsSnapshot();
     return "";
 }
 
@@ -499,22 +481,7 @@ ServiceRunner::restoreFromBytes(const std::uint8_t *data,
     std::vector<std::uint8_t> blob;
     const std::string err = restoreCheckpointBytes(
         data, size, config_.configDigest, parts_, &blob);
-    if (!err.empty())
-        return err;
-    if (!blob.empty()) {
-        const std::string herr = applyHarnessBlob(blob);
-        if (!herr.empty())
-            return herr;
-    } else {
-        // Checkpoint taken outside serve mode: derive the window
-        // index from the clock (serve always starts at cycle 0).
-        windowIndex_ =
-            parts_.net->engine().now() / config_.window;
-    }
-    // The boundary snapshot is a pure function of restored state;
-    // recomputing it reproduces the saver's byte-for-byte.
-    prev_ = parts_.net->metricsSnapshot();
-    return "";
+    return err.empty() ? restoreHarness(blob) : err;
 }
 
 std::string
@@ -523,25 +490,13 @@ ServiceRunner::restoreFromFile(const std::string &path)
     std::vector<std::uint8_t> blob;
     const std::string err = readCheckpointFile(
         path, config_.configDigest, parts_, &blob);
-    if (!err.empty())
-        return err;
-    if (!blob.empty()) {
-        const std::string herr = applyHarnessBlob(blob);
-        if (!herr.empty())
-            return herr;
-    } else {
-        windowIndex_ =
-            parts_.net->engine().now() / config_.window;
-    }
-    prev_ = parts_.net->metricsSnapshot();
-    return "";
+    return err.empty() ? restoreHarness(blob) : err;
 }
 
 std::string
 ServiceRunner::checkpointToFile(const std::string &path)
 {
-    return writeCheckpointFile(path, config_.configDigest, parts_,
-                               harnessBlob());
+    return writeCheckpointBytesDurably(path, checkpointBytes());
 }
 
 std::string
@@ -552,10 +507,7 @@ ServiceRunner::checkpointToStore()
                "(--checkpoint-every with --checkpoint-out)";
     if (!storeLoadError_.empty())
         return storeLoadError_;
-    return store_->write(parts_.net->engine().now(),
-                         saveCheckpointBytes(config_.configDigest,
-                                             parts_,
-                                             harnessBlob()));
+    return store_->write(parts_.net->engine().now(), checkpointBytes());
 }
 
 std::string

@@ -151,6 +151,10 @@ class ServiceRunner
                                  std::size_t size);
     /** @} */
 
+    /** A checkpoint (simulation + runner state) as bytes, footer
+     *  included. Same validity rule as checkpointToFile. */
+    std::vector<std::uint8_t> checkpointBytes() const;
+
     /** Write a checkpoint (simulation + runner state) now. Only
      *  valid between windows — i.e. before run(), after run()
      *  returns, or from the emitter callback. Returns "" on
@@ -234,9 +238,15 @@ class ServiceRunner
                            const MetricsRegistry &delta,
                            std::uint64_t inflight) const;
 
-    std::vector<std::uint8_t> harnessBlob() const;
-    std::string applyHarnessBlob(
-        const std::vector<std::uint8_t> &blob);
+    /** The runner's own checkpointed state (the harness section):
+     *  one description for save and restore (see serve/stateio.hh). */
+    template <class Ar, class Self>
+    static void state(Ar &ar, Self &self);
+
+    /** Finish a restore: apply the harness section (or derive the
+     *  window index when there is none) and retake the boundary
+     *  snapshot. */
+    std::string restoreHarness(const std::vector<std::uint8_t> &blob);
 
     ServeConfig config_;
     CheckpointParticipants parts_;

@@ -113,8 +113,6 @@ class SessionDriver : public Component
     /** @} */
 
   private:
-    friend class CheckpointIO;
-
     /** One live session: requests left and the next issue cycle. */
     struct Session
     {

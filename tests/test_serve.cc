@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -486,6 +487,166 @@ TEST(Serve, CheckpointDuringMaintenanceResumesTheDrain)
     ASSERT_EQ(full.size(), cut.size());
     for (std::size_t i = 0; i < full.size(); ++i)
         EXPECT_EQ(full[i], cut[i]) << "window " << i;
+}
+
+/** Serve options for the CLI-shaped instance (buildServeSetup):
+ *  fig1, 1024-cycle windows, the given fault-file text. */
+Options
+cliServeOptions(unsigned think, const std::string &faults)
+{
+    Options opts;
+    opts.config.network.kind = NetworkRecipe::Kind::Fig1;
+    opts.config.think = {think};
+    opts.serve = true;
+    opts.window = 1024;
+    if (!faults.empty()) {
+        std::string error;
+        opts.config.network.faultPath = "serve_test.fault";
+        opts.config.network.faults = parseFaultText(faults, error);
+        EXPECT_EQ(error, "");
+    }
+    return opts;
+}
+
+/** Serve `setup` to `until`, after restoring `checkpoint` when one
+ *  is given, collecting its window records. */
+std::vector<std::string>
+serveTo(ServeSetup &setup, Cycle until,
+        const std::vector<std::uint8_t> &checkpoint = {})
+{
+    std::vector<std::string> lines;
+    ServeConfig cfg = setup.config;
+    cfg.runCycles = until;
+    ServiceRunner runner(cfg, setup.parts);
+    if (!checkpoint.empty()) {
+        EXPECT_EQ(runner.restoreFromBytes(checkpoint.data(),
+                                          checkpoint.size()),
+                  "");
+    }
+    runner.setEmitter(
+        [&](const std::string &line) { lines.push_back(line); });
+    EXPECT_EQ(runner.run(), "");
+    return lines;
+}
+
+/** The checkpoint a runner over `setup` writes after serving to
+ *  `until`. */
+std::vector<std::uint8_t>
+checkpointAt(ServeSetup &setup, Cycle until)
+{
+    ServeConfig cfg = setup.config;
+    cfg.runCycles = until;
+    ServiceRunner runner(cfg, setup.parts);
+    EXPECT_EQ(runner.run(), "");
+    return runner.checkpointBytes();
+}
+
+TEST(Serve, InjectionLinkMaskSurvivesRestore)
+{
+    // Link 0 is endpoint 0's injection wire: diagnosis masks it at
+    // the endpoint (there is no router upstream to probe from), so
+    // the checkpoint carries an InjectionLink mask, which has no
+    // wire-map entry.
+    Options opts = cliServeOptions(20, "fault = 0 linkDead 0\n");
+    opts.config.network.diagnosis = true;
+    constexpr Cycle kAt = 2048;
+    constexpr Cycle kEnd = 8192;
+
+    auto saver = buildServeSetup(opts);
+    const auto bytes = checkpointAt(*saver, kAt);
+    ASSERT_NE(saver->parts.diagnosis, nullptr);
+    ASSERT_GE(saver->parts.diagnosis->maskedLinks(), 1u);
+    const NetworkInterface &ep = saver->instance.network->endpoint(0);
+    bool masked = false;
+    for (unsigned g = 0; g < ep.outGroups(); ++g)
+        masked = masked || !ep.outPortEnabled(g);
+    ASSERT_TRUE(masked) << "no injection-link mask at the cut";
+
+    auto full = buildServeSetup(opts);
+    const auto reference = serveTo(*full, kEnd);
+    auto restored = buildServeSetup(opts);
+    const auto resumed = serveTo(*restored, kEnd, bytes);
+    ASSERT_EQ(resumed.size(), kEnd / 1024 - kAt / 1024);
+    for (std::size_t i = 0; i < resumed.size(); ++i)
+        EXPECT_EQ(resumed[i], reference[kAt / 1024 + i])
+            << "window " << i;
+}
+
+/**
+ * Save, restore into a fresh instance, save again: the two files
+ * must be byte-identical. Any field the writer and the reader treat
+ * differently shows here. One instance carries every optional
+ * participant (closed-loop drivers, a fault schedule, a campaign,
+ * diagnosis with a live mask, a maintenance drain cut mid-drain);
+ * the other open-loop drivers behind an inflight gate.
+ */
+TEST(Serve, SaveRestoreSaveIsByteIdentical)
+{
+    Options closed = cliServeOptions(20, "linkFailRate = 0.0008\n"
+                                         "linkHealRate = 0.008\n"
+                                         "corruptFraction = 0.25\n"
+                                         "flakyLinks = 2\n"
+                                         "flakyPeriod = 512\n"
+                                         "start = 1000\n"
+                                         "fault = 500 linkDead 40\n");
+    closed.config.network.diagnosis = true;
+    closed.maintain = {"2@4096+4096"};
+
+    Options open = cliServeOptions(0, "");
+    open.config.mode = SweepMode::Open;
+    open.config.inject = {0.05};
+    open.config.network.retry.inflightLimit = 4;
+
+    for (const Options *opts : {&closed, &open}) {
+        const bool isClosed = opts == &closed;
+        SCOPED_TRACE(isClosed ? "closed loop, every participant"
+                              : "open loop, inflight gate");
+        // The drain begins at the 4096 boundary, so a cut there
+        // catches it mid-drain.
+        constexpr Cycle kAt = 4096;
+        auto saver = buildServeSetup(*opts);
+        const auto first = checkpointAt(*saver, kAt);
+        const CheckpointParticipants &parts = saver->parts;
+        Network &net = *saver->instance.network;
+        if (isClosed) {
+            ASSERT_FALSE(parts.closedDrivers.empty());
+            ASSERT_NE(parts.injector, nullptr);
+            ASSERT_NE(parts.campaign, nullptr);
+            ASSERT_NE(parts.diagnosis, nullptr);
+            EXPECT_GE(parts.diagnosis->maskedLinks(), 1u);
+            // Mid-drain: every feeder of router 2 is off while its
+            // own ports are still on.
+            for (bool on : net.router(2).config().forwardEnabled)
+                EXPECT_TRUE(on);
+            for (LinkId l = 0; l < net.numLinks(); ++l) {
+                const LinkEnd &a = net.link(l).endA();
+                const LinkEnd &b = net.link(l).endB();
+                if (b.kind != AttachKind::RouterForward || b.id != 2)
+                    continue;
+                if (a.kind == AttachKind::RouterBackward)
+                    EXPECT_FALSE(net.router(a.id)
+                                     .config()
+                                     .backwardEnabled[a.port]);
+                else
+                    EXPECT_FALSE(
+                        net.endpoint(a.id).outPortEnabled(a.subPort));
+            }
+        } else {
+            ASSERT_FALSE(parts.openDrivers.empty());
+        }
+
+        auto restorer = buildServeSetup(*opts);
+        ServiceRunner runner(restorer->config, restorer->parts);
+        ASSERT_EQ(runner.restoreFromBytes(first.data(), first.size()),
+                  "");
+        const auto second = runner.checkpointBytes();
+        ASSERT_EQ(first.size(), second.size());
+        const auto diff =
+            std::mismatch(first.begin(), first.end(), second.begin());
+        EXPECT_TRUE(diff.first == first.end())
+            << "first differing byte at offset "
+            << (diff.first - first.begin());
+    }
 }
 
 TEST(Serve, ParseMaintenanceOp)
