@@ -4,13 +4,14 @@
 # Builds the test suite with -DCMAKE_BUILD_TYPE=RelWithDebInfo and
 # -fsanitize=thread (the METRO_TSAN toggle), then runs the shard
 # suite — the byte-identity property tests, the plan-structure
-# tests, the mid-campaign removal test, and the saturated
-# multi-thread soak (which keeps every worker contending on shared
-# boundary lanes) — plus the thread-parameterized quiescence
-# equivalence tests, under ThreadSanitizer. Any unsynchronized
-# access in the tick pool, the deferred-activation exchange, the
-# chunked phase-2 commit, or the scratch-metrics flush fails the
-# job.
+# tests, the mid-campaign removal test, the self-profile tests, and
+# the saturated multi-thread soak (which keeps every worker
+# contending on shared boundary lanes) — the tick-pool suite (the
+# epoch hand-off, spin-then-park waits and resize), plus the
+# thread-parameterized quiescence equivalence tests, under
+# ThreadSanitizer. Any unsynchronized access in the tick pool, the
+# deferred-activation exchange, the chunked phase-2 commit, or the
+# scratch-metrics flush fails the job.
 #
 # Usage: ci/tsan-engine.sh [build-dir]   (default: build-tsan)
 # (Shares build-tsan with ci/tsan-sweep.sh by default: same
@@ -26,4 +27,4 @@ cmake -B "$BUILD" -S . \
     -DMETRO_TSAN=ON
 cmake --build "$BUILD" -j "$(nproc)" --target metro_tests
 ctest --test-dir "$BUILD" --output-on-failure \
-    -R 'Shard|QuiescenceAtThreads'
+    -R 'Shard|Pool|QuiescenceAtThreads'

@@ -56,7 +56,8 @@ makeRunKnobs()
         boolKnob<O>("json", METRO_KNOB_FIELD(json),
                     "emit sweep results as JSON"),
         boolKnob<O>("timing", METRO_KNOB_FIELD(timing),
-                    "include wall-clock metadata in JSON"),
+                    "include wall-clock metadata and the engine "
+                    "self-profile in JSON"),
         boolKnob<O>("metricsJson", METRO_KNOB_FIELD(metricsJson),
                     "include per-point metrics blobs (implies --json)"),
         textKnob<O>("traceConnections", METRO_KNOB_FIELD(traceConnections),
@@ -570,6 +571,7 @@ runFromOptions(const Options &opts)
     SweepOptions sopts;
     sopts.threads = opts.config.threads;
     sopts.engineThreads = opts.config.engineThreads;
+    sopts.profileEngine = opts.timing;
     sopts.stopRequested = [] { return requestedStop(); };
     const auto sweep = runSweep(points, sopts);
 

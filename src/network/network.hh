@@ -123,17 +123,6 @@ class Network
                 &metrics_.counter("words.discarded.wire"));
             engine_.addLink(l.get());
         }
-        // Stage-aligned shard hints: prefer shard cuts at topology
-        // stage boundaries (and at the router/endpoint seam) so the
-        // only lanes crossing shards are the stage-boundary links.
-        std::vector<Component *> hints;
-        for (const auto &stage : stages_) {
-            if (!stage.empty())
-                hints.push_back(routers_[stage.front()].get());
-        }
-        if (!endpoints_.empty())
-            hints.push_back(endpoints_.front().get());
-        engine_.setShardHints(std::move(hints));
         finalized_ = true;
     }
     /** @} */

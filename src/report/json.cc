@@ -28,6 +28,41 @@ num(std::uint64_t v)
     return buf;
 }
 
+/** Seconds from nanoseconds. */
+std::string
+secs(std::uint64_t ns)
+{
+    return num(static_cast<double>(ns) * 1e-9);
+}
+
+/** The engine self-profile block of one point (see EngineProfile). */
+void
+emitEngineProfile(std::ostringstream &out, const EngineProfile &p)
+{
+    out << ",\n      \"engineProfile\": {\n"
+        << "        \"cycles\": " << num(p.cycles) << ",\n"
+        << "        \"wallSeconds\": " << secs(p.wallNs()) << ",\n"
+        << "        \"planSeconds\": " << secs(p.planNs) << ",\n"
+        << "        \"parallelSeconds\": " << secs(p.parallelNs)
+        << ",\n"
+        << "        \"shardSeconds\": [";
+    for (std::size_t k = 0; k < p.shardNs.size(); ++k)
+        out << (k == 0 ? "" : ", ") << secs(p.shardNs[k]);
+    out << "],\n"
+        << "        \"foldSeconds\": " << secs(p.foldNs) << ",\n"
+        << "        \"serialSeconds\": {";
+    for (std::size_t k = 0; k < p.serialNs.size(); ++k)
+        out << (k == 0 ? "" : ", ") << jsonQuote(p.serialNs[k].name)
+            << ": " << secs(p.serialNs[k].ns);
+    out << "},\n"
+        << "        \"advanceSeconds\": " << secs(p.advanceNs)
+        << ",\n"
+        << "        \"sleepPassSeconds\": " << secs(p.sleepPassNs)
+        << ",\n"
+        << "        \"serialLoopSeconds\": " << secs(p.serialLoopNs)
+        << "\n      }";
+}
+
 void
 emitPoint(std::ostringstream &out, const SweepPointResult &p,
           bool include_timing, bool include_metrics)
@@ -111,8 +146,11 @@ emitPoint(std::ostringstream &out, const SweepPointResult &p,
     if (include_metrics)
         out << ",\n      \"metrics\": "
             << metricsJson(r.metrics, "      ");
-    if (include_timing)
+    if (include_timing) {
         out << ",\n      \"wallSeconds\": " << num(p.wallSeconds);
+        if (p.engineProfile.cycles > 0)
+            emitEngineProfile(out, p.engineProfile);
+    }
     out << "\n    }";
 }
 

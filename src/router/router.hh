@@ -44,6 +44,7 @@
 #ifndef METRO_ROUTER_ROUTER_HH
 #define METRO_ROUTER_ROUTER_HH
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -216,6 +217,20 @@ class MetroRouter : public Component
     parallelTickSafe() const override
     {
         return observer_ == nullptr && !sharedRandom_;
+    }
+
+    /**
+     * Tick cost (see Component::tickCost), linear in the port
+     * count the tick walks: an 8×8 router costs 7 (1.75 network
+     * interfaces), a 4×4 router 3 (0.75) — the self-profile
+     * measured 1.7 and 0.7 on the saturated 1024-endpoint network.
+     */
+    std::uint32_t
+    tickCost() const override
+    {
+        return std::max(1u,
+                        (params_.numForward + params_.numBackward) / 2 -
+                            1);
     }
 
     /** Redirect the shared conservation counters (router/block

@@ -135,6 +135,19 @@ class Component
     virtual bool parallelTickSafe() const { return false; }
 
     /**
+     * Relative cost of one tick, for balancing the sharded engine's
+     * plan (see engine.hh): shards are cut to near-equal summed
+     * cost. Must be static — a pure function of the component's
+     * construction parameters — so the plan stays a pure function
+     * of its inputs. Units: a network interface costs
+     * kNiTickCost; calibrated with the engine self-profile on the
+     * saturated 1024-endpoint network.
+     */
+    virtual std::uint32_t tickCost() const { return kNiTickCost; }
+
+    static constexpr std::uint32_t kNiTickCost = 4;
+
+    /**
      * Concurrent-metrics mode (sharded engine only). On: the
      * component must redirect every metric slot it shares with
      * other components (registry counters/histograms several

@@ -59,48 +59,65 @@
  * parallel section and a serial section. Components whose tick
  * honours the parallel contract (Component::parallelTickSafe —
  * routers and network interfaces without observers, handlers or
- * shared random sources) are partitioned into up to n *shards* —
- * contiguous sub-ranges of the registration order, cut at the
- * topology's stage boundaries when the network provides hints
- * (setShardHints) — and ticked concurrently on a persistent worker
- * pool. Everything else (drivers, probes, injectors, cascade
- * groups, and the dynamically *pinned* ends of corrupt links, which
- * share the link's corruption PRNG) ticks in the serial section, in
- * registration order. Phase 1's contract — read lane heads, push
- * lane tails, never observe a same-cycle write — is exactly what
- * makes any tick order (including a concurrent one) equivalent, so
- * the split is byte-identical to the serial loop. The cross-thread
- * side effects a tick can have are funnelled through two deferred,
- * fixed-order channels replayed at the phase barrier: link
- * activations (with their wakes; a wake applied at the barrier is
- * byte-equivalent to one applied mid-phase, since mid-cycle wakes
- * always resume at now+1 and count the cycle skipped) and the
- * skipped-tick / sleep-candidate tallies (per-shard accumulation,
- * folded in shard order; sums and histogram merges commute, so
- * every engine counter and metric is thread-count invariant).
- * Shared metric slots are redirected to per-component scratch for
- * the duration (Component::setConcurrentMetrics) and folded back in
- * registration order by syncStats(). Phase 2 reuses the same pool
- * over contiguous, even-aligned lane ranges of the arena
+ * shared random sources) are cut into min(n, members) *shards* —
+ * contiguous sub-ranges of the registration order of near-equal
+ * summed Component::tickCost, since the globally clocked cycle runs
+ * only as fast as its slowest shard — and shard k ticks on pool
+ * participant k every cycle (sim/pool.hh). Everything else
+ * (drivers, probes, injectors, cascade groups, and the dynamically
+ * *pinned* ends of corrupt links, which share the link's corruption
+ * PRNG) ticks in the serial section, in registration order. Phase
+ * 1's contract — read lane heads, push lane tails, never observe a
+ * same-cycle write — is exactly what makes any tick order
+ * (including a concurrent one) equivalent, so the split is
+ * byte-identical to the serial loop. The cross-thread side effects
+ * a tick can have are funnelled through two deferred, fixed-order
+ * channels replayed at the phase barrier: link activations (with
+ * their wakes; a wake applied at the barrier is byte-equivalent to
+ * one applied mid-phase, since mid-cycle wakes always resume at
+ * now+1 and count the cycle skipped) and the skipped-tick /
+ * sleep-candidate tallies (per-shard accumulation, folded in shard
+ * order; sums and histogram merges commute, so every engine counter
+ * and metric is thread-count invariant). Shared metric slots are
+ * redirected to per-component scratch for the duration
+ * (Component::setConcurrentMetrics) and folded back in registration
+ * order by syncStats(). Phase 2 reuses the same pool over
+ * contiguous, even-aligned lane ranges of the arena
  * (LaneArena::advanceRange) with per-chunk census charges and
  * drained-lane reports folded at the barrier in chunk order —
  * ascending lane order, identical to the serial pass. Quiescence
  * composes: a shard all of whose members sleep *parks* — the cycle
- * is accounted in bulk and no worker is dispatched for it.
+ * is accounted in bulk and no work is dispatched for it.
  * setThreads(1) (the default) runs the untouched serial loop.
+ *
+ * Self-profile (setProfiling(true); off by default, one branch per
+ * phase when off): wall-clock time per phase of the sharded cycle —
+ * phase 1 per shard, the barrier fold, the serial section by
+ * component class, the phase-2 advance and the end-of-cycle sleep
+ * pass — read back through profile(). Like shardCyclesParked() it
+ * depends on the host and the thread count, so it stays out of
+ * metric snapshots, digests and checkpoints.
  */
 
 #ifndef METRO_SIM_ENGINE_HH
 #define METRO_SIM_ENGINE_HH
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
+#include <typeinfo>
 #include <unordered_set>
 #include <utility>
 #include <vector>
+
+#if defined(__GNUG__)
+#include <cxxabi.h>
+#endif
 
 #include "common/types.hh"
 #include "sim/component.hh"
@@ -109,6 +126,48 @@
 
 namespace metro
 {
+
+/**
+ * Wall-clock phase accounting of the engine's cycles (see
+ * Engine::setProfiling). The sequential parts — everything but
+ * shardNs — add up to the time spent inside the profiled cycles
+ * (wallNs); shard busy times overlap each other and the parallel
+ * section they ran in.
+ */
+struct EngineProfile
+{
+    /** Serial-section time of one component class. */
+    struct ClassTime
+    {
+        std::string name;
+        std::uint64_t ns = 0;
+    };
+
+    std::uint64_t cycles = 0; ///< cycles profiled
+    std::uint64_t planNs = 0; ///< shard-plan rebuilds
+    /** Phase 1's parallel section, dispatch to barrier. */
+    std::uint64_t parallelNs = 0;
+    /** Phase 1 busy time per shard (overlapping). */
+    std::vector<std::uint64_t> shardNs;
+    std::uint64_t foldNs = 0; ///< barrier fold of the shard effects
+    std::vector<ClassTime> serialNs; ///< serial section, by class
+    std::uint64_t advanceNs = 0; ///< phase 2 lane advance
+    /** finishCycle: pending link verdicts and the sleep pass. */
+    std::uint64_t sleepPassNs = 0;
+    /** threads() == 1: the whole serial cycle. */
+    std::uint64_t serialLoopNs = 0;
+
+    /** Sum of the sequential parts. */
+    std::uint64_t
+    wallNs() const
+    {
+        std::uint64_t sum = planNs + parallelNs + foldNs + advanceNs +
+                            sleepPassNs + serialLoopNs;
+        for (const ClassTime &c : serialNs)
+            sum += c.ns;
+        return sum;
+    }
+};
 
 /**
  * Owns the clock and the tick/advance loop. Links and components
@@ -130,11 +189,8 @@ class Engine : public Scheduler
             component->setConcurrentMetrics(true);
         components_.push_back(component);
         // Extend the current homogeneous run or open a new one.
-        const auto fn = component->batchTickFn();
-        if (!runs_.empty() && runs_.back().fn == fn)
-            ++runs_.back().count;
-        else
-            runs_.push_back({fn, components_.size() - 1, 1});
+        appendSlice(runs_, component->batchTickFn(),
+                    components_.size() - 1);
         planDirty_ = true;
     }
 
@@ -328,18 +384,23 @@ class Engine : public Scheduler
     unsigned threads() const { return threads_; }
 
     /**
-     * Preferred shard cut points, in registration order — the
-     * first component of each topology stage (and of the endpoint
-     * block), provided by Network::finalize. The planner cuts
-     * shards only at hints whenever that yields enough shards, so
-     * cross-shard lanes are exactly the stage-boundary links.
+     * Turn the self-profile on or off (see EngineProfile). Turning
+     * it on starts from a zeroed profile.
      */
     void
-    setShardHints(std::vector<Component *> hints)
+    setProfiling(bool on)
     {
-        shardHints_ = std::move(hints);
+        if (on && !profiling_)
+            profile_ = EngineProfile{};
+        profiling_ = on;
         planDirty_ = true;
     }
+
+    /** Self-profile state. */
+    bool profiling() const { return profiling_; }
+
+    /** The profile accumulated since profiling was turned on. */
+    const EngineProfile &profile() const { return profile_; }
 
     /** Component ticks elided by the scheduler (monotone). */
     std::uint64_t ticksSkipped() const { return ticksSkipped_; }
@@ -368,6 +429,13 @@ class Engine : public Scheduler
     shardMembers(std::size_t k)
     {
         return shards_.at(k).members;
+    }
+
+    /** Summed Component::tickCost of shard k's members. */
+    std::uint64_t
+    shardCost(std::size_t k)
+    {
+        return shards_.at(k).cost;
     }
 
     /** Registration-order sub-ranges [begin, begin+count) that make
@@ -474,10 +542,16 @@ class Engine : public Scheduler
     void
     step()
     {
-        if (threads_ > 1)
+        if (threads_ > 1) {
             stepParallel();
-        else
+        } else if (profiling_) {
+            Stopwatch sw(true);
             stepSerial();
+            sw.lap(profile_.serialLoopNs);
+            ++profile_.cycles;
+        } else {
+            stepSerial();
+        }
     }
 
     /** Execute `cycles` cycles. */
@@ -529,6 +603,9 @@ class Engine : public Scheduler
     {
         std::vector<TickRun> slices;
         std::size_t members = 0;
+        std::uint64_t cost = 0;
+        /** Ticked this cycle (set before dispatch: not parked). */
+        bool live = false;
         /** Members currently awake; 0 parks the shard. Maintained
          *  serially (wakes and sleep transitions never run inside
          *  the parallel phase). */
@@ -537,7 +614,38 @@ class Engine : public Scheduler
         std::uint64_t skipped = 0;
         std::vector<Component *> candidates;
         std::vector<Link *> activations;
+        std::uint64_t busyNs = 0; ///< self-profile only
         /** @} */
+    };
+
+    /** Self-profile clock: lap() charges the time since the last
+     *  lap to a slot. A no-op when constructed off. */
+    class Stopwatch
+    {
+      public:
+        explicit Stopwatch(bool on) : on_(on)
+        {
+            if (on_)
+                last_ = Clock::now();
+        }
+
+        void
+        lap(std::uint64_t &slot)
+        {
+            if (!on_)
+                return;
+            const auto t = Clock::now();
+            slot += static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    t - last_)
+                    .count());
+            last_ = t;
+        }
+
+      private:
+        using Clock = std::chrono::steady_clock;
+        bool on_;
+        Clock::time_point last_{};
     };
 
     /** The serial engine's cycle (threads() == 1): the exact
@@ -611,16 +719,21 @@ class Engine : public Scheduler
     void
     stepParallel()
     {
-        if (planDirty_)
+        Stopwatch sw(profiling_);
+        if (planDirty_) {
             rebuildPlan();
+            sw.lap(profile_.planNs);
+        }
         stepping_ = true;
         if (quiesce_)
             sleepCandidates_.clear();
 
-        // 1a. Parallel shards.
-        liveShards_.clear();
+        // 1a. Parallel shards, shard k on pool participant k.
+        Shard *only = nullptr;
+        std::size_t live = 0;
         for (Shard &s : shards_) {
-            if (s.awake == 0) {
+            s.live = s.awake != 0;
+            if (!s.live) {
                 // Parked: every member sleeps, so the tick pass
                 // would only count skips — account them in bulk.
                 ticksSkipped_ += s.members;
@@ -630,24 +743,32 @@ class Engine : public Scheduler
             s.skipped = 0;
             s.candidates.clear();
             s.activations.clear();
-            liveShards_.push_back(&s);
+            only = &s;
+            ++live;
         }
-        if (liveShards_.size() == 1)
-            runShard(*liveShards_.front());
-        else if (!liveShards_.empty())
-            pool_.run(static_cast<unsigned>(liveShards_.size()),
+        if (live == 1)
+            runShard(*only);
+        else if (live > 1)
+            pool_.run(static_cast<unsigned>(shards_.size()),
                       &shardTask, this);
+        sw.lap(profile_.parallelNs);
 
         // 1b. Barrier: fold per-shard effects in shard order.
-        for (Shard *s : liveShards_) {
-            ticksSkipped_ += s->skipped;
-            for (Link *l : s->activations)
+        for (std::size_t k = 0; k < shards_.size(); ++k) {
+            Shard &s = shards_[k];
+            if (!s.live)
+                continue;
+            ticksSkipped_ += s.skipped;
+            for (Link *l : s.activations)
                 l->activate();
             if (quiesce_)
                 sleepCandidates_.insert(sleepCandidates_.end(),
-                                        s->candidates.begin(),
-                                        s->candidates.end());
+                                        s.candidates.begin(),
+                                        s.candidates.end());
+            if (profiling_)
+                profile_.shardNs[k] += s.busyNs;
         }
+        sw.lap(profile_.foldNs);
 
         // 1c. Serial section, registration order.
         {
@@ -656,8 +777,12 @@ class Engine : public Scheduler
             if (quiesce_)
                 ctx.sleepCandidates = &sleepCandidates_;
             Component *const *base = components_.data();
-            for (const TickRun &run : serialRuns_)
+            for (std::size_t i = 0; i < serialRuns_.size(); ++i) {
+                const TickRun &run = serialRuns_[i];
                 run.fn(base + run.begin, run.count, ctx);
+                if (profiling_)
+                    sw.lap(profile_.serialNs[serialClass_[i]].ns);
+            }
             ticksSkipped_ += ctx.skipped;
         }
 
@@ -685,7 +810,11 @@ class Engine : public Scheduler
                     evalDrainedLane(g, lane);
             }
         }
+        sw.lap(profile_.advanceNs);
         finishCycle();
+        sw.lap(profile_.sleepPassNs);
+        if (profiling_)
+            ++profile_.cycles;
     }
 
     /** Shared cycle tail: pending link evaluations, the candidate
@@ -731,6 +860,7 @@ class Engine : public Scheduler
     void
     runShard(Shard &s)
     {
+        Stopwatch sw(profiling_);
         TickContext ctx;
         ctx.cycle = now_;
         if (quiesce_)
@@ -741,13 +871,17 @@ class Engine : public Scheduler
             sl.fn(base + sl.begin, sl.count, ctx);
         detail::tlsDeferredActivations = nullptr;
         s.skipped = ctx.skipped;
+        s.busyNs = 0;
+        sw.lap(s.busyNs);
     }
 
     static void
     shardTask(void *ctx, unsigned k)
     {
         auto *e = static_cast<Engine *>(ctx);
-        e->runShard(*e->liveShards_[k]);
+        Shard &s = e->shards_[k];
+        if (s.live)
+            e->runShard(s);
     }
 
     static void
@@ -767,36 +901,30 @@ class Engine : public Scheduler
     rebuildRuns()
     {
         runs_.clear();
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            const auto fn = components_[i]->batchTickFn();
-            if (!runs_.empty() && runs_.back().fn == fn)
-                ++runs_.back().count;
-            else
-                runs_.push_back({fn, i, 1});
-        }
+        for (std::size_t i = 0; i < components_.size(); ++i)
+            appendSlice(runs_, components_[i]->batchTickFn(), i);
     }
 
     /**
-     * Rebuild the shard plan from the current component list, hint
-     * list, thread count and link faults. Deterministic: the plan
-     * is a pure function of those inputs, so any two runs that
-     * reach a cycle with the same simulation state shard it the
-     * same way. Steps:
+     * Rebuild the shard plan from the current component list,
+     * thread count and link faults. Deterministic: the plan is a
+     * pure function of those inputs (tick costs are static per
+     * component), so any two runs that reach a cycle with the same
+     * simulation state shard it the same way. Steps:
      *
      *   1. pin the end components of corrupt links (their reads
      *      draw from the link's shared corruption PRNG, so they
      *      must stay in the serial section to keep draw order);
      *   2. walk the registration list once, sending non-parallel
-     *      components to the serial runs and slicing the parallel
-     *      ones into hint-aligned groups;
-     *   3. while there are fewer groups than threads, halve the
-     *      largest (stage-alignment yields to occupancy only when
-     *      the topology gave too few stages);
-     *   4. one shard per group when they fit, else pack consecutive
-     *      groups into ≤ threads balanced shards (cuts stay on
-     *      group, i.e. hint, boundaries);
-     *   5. assign shard ids and awake counts; carve each arena's
-     *      lanes into even-aligned chunks for phase 2.
+     *      components to the serial runs and collecting the
+     *      parallel ones with their summed tick cost;
+     *   3. cut the parallel members, in registration order, into
+     *      K = min(threads, members) contiguous shards: shard k
+     *      closes at the member boundary whose cumulative cost is
+     *      nearest (k+1)/K of the total, so every shard's cost is
+     *      within one member's cost of total/K;
+     *   4. carve each arena's lanes into even-aligned chunks for
+     *      phase 2.
      */
     void
     rebuildPlan()
@@ -812,130 +940,101 @@ class Engine : public Scheduler
                     pinned_.insert(l->wakeB());
             }
         }
-        const std::unordered_set<const Component *> hints(
-            shardHints_.begin(), shardHints_.end());
 
-        struct PlanGroup
-        {
-            std::vector<TickRun> slices;
-            std::size_t members = 0;
-        };
-        std::vector<PlanGroup> groups;
+        std::vector<std::size_t> members;
+        std::uint64_t total = 0;
         serialRuns_.clear();
-        std::size_t total = 0;
         for (std::size_t i = 0; i < components_.size(); ++i) {
             Component *c = components_[i];
-            const auto fn = c->batchTickFn();
-            if (!c->parallelTickSafe() || pinned_.count(c) != 0) {
-                c->shard_ = Component::kNoShard;
-                if (!serialRuns_.empty() &&
-                    serialRuns_.back().fn == fn &&
-                    serialRuns_.back().begin +
-                            serialRuns_.back().count ==
-                        i)
-                    ++serialRuns_.back().count;
-                else
-                    serialRuns_.push_back({fn, i, 1});
+            if (c->parallelTickSafe() && pinned_.count(c) == 0) {
+                members.push_back(i);
+                total += c->tickCost();
                 continue;
             }
-            if (groups.empty() || hints.count(c) != 0)
-                groups.emplace_back();
-            PlanGroup &gp = groups.back();
-            if (!gp.slices.empty() && gp.slices.back().fn == fn &&
-                gp.slices.back().begin + gp.slices.back().count == i)
-                ++gp.slices.back().count;
-            else
-                gp.slices.push_back({fn, i, 1});
-            ++gp.members;
-            ++total;
+            c->shard_ = Component::kNoShard;
+            appendSlice(serialRuns_, c->batchTickFn(), i);
         }
 
-        while (groups.size() < threads_) {
-            std::size_t big = 0;
-            for (std::size_t i = 1; i < groups.size(); ++i) {
-                if (groups[i].members > groups[big].members)
-                    big = i;
-            }
-            if (groups.empty() || groups[big].members < 2)
-                break;
-            PlanGroup &gp = groups[big];
-            const std::size_t keep = gp.members / 2;
-            PlanGroup tail;
-            std::vector<TickRun> kept;
-            std::size_t acc = 0;
-            for (const TickRun &sl : gp.slices) {
-                if (acc >= keep) {
-                    tail.slices.push_back(sl);
-                    tail.members += sl.count;
-                } else if (acc + sl.count <= keep) {
-                    kept.push_back(sl);
-                    acc += sl.count;
-                } else {
-                    const std::size_t first = keep - acc;
-                    kept.push_back({sl.fn, sl.begin, first});
-                    acc = keep;
-                    tail.slices.push_back(
-                        {sl.fn, sl.begin + first, sl.count - first});
-                    tail.members += sl.count - first;
-                }
-            }
-            gp.slices = std::move(kept);
-            gp.members = keep;
-            groups.insert(groups.begin() +
-                              static_cast<std::ptrdiff_t>(big) + 1,
-                          std::move(tail));
-        }
-
-        shards_.clear();
-        if (groups.size() <= threads_) {
-            for (PlanGroup &gp : groups) {
-                if (gp.members == 0)
-                    continue;
-                shards_.emplace_back();
-                shards_.back().slices = std::move(gp.slices);
-                shards_.back().members = gp.members;
-            }
-        } else {
-            std::size_t cum = 0;
-            for (PlanGroup &gp : groups) {
-                if (gp.members == 0)
-                    continue;
-                if (shards_.empty() ||
-                    (shards_.size() < threads_ &&
-                     cum * threads_ >= total * shards_.size()))
-                    shards_.emplace_back();
-                Shard &s = shards_.back();
-                for (const TickRun &sl : gp.slices) {
-                    if (!s.slices.empty() &&
-                        s.slices.back().fn == sl.fn &&
-                        s.slices.back().begin +
-                                s.slices.back().count ==
-                            sl.begin)
-                        s.slices.back().count += sl.count;
-                    else
-                        s.slices.push_back(sl);
-                }
-                s.members += gp.members;
-                cum += gp.members;
-            }
-        }
-
-        for (std::size_t k = 0; k < shards_.size(); ++k) {
+        const std::size_t count =
+            std::min<std::size_t>(threads_, members.size());
+        shards_.assign(count, Shard{});
+        std::uint64_t cum = 0;
+        std::size_t k = 0;
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            Component *c = components_[members[m]];
+            const std::uint64_t cost = c->tickCost();
+            // Close shard k before this member when the boundary
+            // here is at least as near the shard's target as the
+            // one after it — or when only enough members remain to
+            // give every later shard one.
+            if (k + 1 < count && shards_[k].members > 0 &&
+                ((2 * cum + cost) * count >= 2 * total * (k + 1) ||
+                 members.size() - m < count - k))
+                ++k;
             Shard &s = shards_[k];
-            s.awake = 0;
-            for (const TickRun &sl : s.slices) {
-                for (std::size_t i = sl.begin;
-                     i < sl.begin + sl.count; ++i) {
-                    components_[i]->shard_ =
-                        static_cast<std::uint32_t>(k);
-                    if (!components_[i]->schedAsleep_)
-                        ++s.awake;
-                }
-            }
+            appendSlice(s.slices, c->batchTickFn(), members[m]);
+            ++s.members;
+            s.cost += cost;
+            if (!c->schedAsleep_)
+                ++s.awake;
+            c->shard_ = static_cast<std::uint32_t>(k);
+            cum += cost;
         }
 
+        if (profiling_)
+            planProfileSlots();
         for (ArenaGroup &g : arenaGroups_)
             rebuildChunks(g);
+    }
+
+    /** Extend the last slice with component i, or open a new one
+     *  (same batch function, contiguous in registration order). */
+    static void
+    appendSlice(std::vector<TickRun> &slices,
+                Component::BatchTickFn fn, std::size_t i)
+    {
+        if (!slices.empty() && slices.back().fn == fn &&
+            slices.back().begin + slices.back().count == i)
+            ++slices.back().count;
+        else
+            slices.push_back({fn, i, 1});
+    }
+
+    /** Readable name of a component's concrete class. */
+    static std::string
+    className(const Component &c)
+    {
+        const char *raw = typeid(c).name();
+#if defined(__GNUG__)
+        int status = 0;
+        const std::unique_ptr<char, void (*)(void *)> name(
+            abi::__cxa_demangle(raw, nullptr, nullptr, &status),
+            std::free);
+        if (status == 0 && name)
+            return name.get();
+#endif
+        return raw;
+    }
+
+    /** Size the profile's per-shard slots and map every serial run
+     *  to its class's slot. */
+    void
+    planProfileSlots()
+    {
+        if (profile_.shardNs.size() < shards_.size())
+            profile_.shardNs.resize(shards_.size(), 0);
+        serialClass_.clear();
+        for (const TickRun &run : serialRuns_) {
+            const std::string name =
+                className(*components_[run.begin]);
+            std::size_t slot = 0;
+            while (slot < profile_.serialNs.size() &&
+                   profile_.serialNs[slot].name != name)
+                ++slot;
+            if (slot == profile_.serialNs.size())
+                profile_.serialNs.push_back({name, 0});
+            serialClass_.push_back(slot);
+        }
     }
 
     /** One arena's links, for the batched advance: which registered
@@ -1049,14 +1148,19 @@ class Engine : public Scheduler
     /** Sharded execution state. @{ */
     unsigned threads_ = 1;
     bool planDirty_ = true;
-    std::vector<Component *> shardHints_;
     std::vector<Shard> shards_;
     std::vector<TickRun> serialRuns_;
-    std::vector<Shard *> liveShards_;
     std::unordered_set<Component *> pinned_;
     ArenaGroup *curGroup_ = nullptr;
     TickPool pool_;
     std::uint64_t shardCyclesParked_ = 0;
+    /** @} */
+
+    /** Self-profile state. @{ */
+    bool profiling_ = false;
+    EngineProfile profile_;
+    /** Profile slot of each serial run's component class. */
+    std::vector<std::size_t> serialClass_;
     /** @} */
 };
 

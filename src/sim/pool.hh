@@ -1,47 +1,73 @@
 /**
  * @file
- * A persistent worker pool for the sharded engine's per-cycle
- * fan-out (see engine.hh).
+ * A persistent, shard-affine worker pool for the sharded engine's
+ * per-cycle fan-out (see engine.hh).
  *
  * The engine dispatches two tiny task batches per cycle (phase-1
- * shards, phase-2 lane chunks), so the pool is built around cheap
- * epoch-based hand-off rather than a task queue: run() publishes a
- * batch (a plain function pointer + context, no allocation), bumps
- * an epoch under the wake mutex, and the calling thread *joins the
- * batch itself*, pulling task indices from a shared atomic cursor
- * alongside the workers. The release/acquire pairs on the cursor
- * and the completion counter give every task a happens-before edge
- * into the caller's return, which is the barrier the engine's
- * determinism argument leans on: everything a shard wrote in phase
- * k is visible to every reader of phase k+1.
+ * shards, phase-2 lane chunks), and shard k ticks the same
+ * components every cycle, so the pool is built for cheap lockstep
+ * hand-off that keeps each task on one core rather than for a task
+ * queue:
  *
- * A worker that oversleeps an entire epoch (the caller finished the
- * batch alone) simply waits for the next one; a worker that wakes
- * into a fresh epoch pulls from the fresh cursor. Task indices are
- * handed out exactly once per epoch by the fetch-add, so a straggler
- * can join a batch late but can never duplicate or lose a task.
+ * - Affinity. The caller is participant 0 and worker w is
+ *   participant w + 1; task k always runs on participant
+ *   k mod participants(). A shard's components and effect buffers
+ *   therefore stay in one core's cache from cycle to cycle.
+ * - Epochs. run() publishes a batch (a plain function pointer,
+ *   context and task count, no allocation) and bumps an atomic
+ *   epoch. Every worker runs its share of the batch — possibly
+ *   nothing — and then acknowledges the epoch; run() returns once
+ *   every worker has. Completion counts participants, not tasks,
+ *   so no worker is still inside epoch e when epoch e + 1 is
+ *   published, and a worker that resize() creates starts at the
+ *   current epoch: it never replays the previous batch.
+ * - Barrier. The epoch store and every acknowledgement are
+ *   releases paired with the acquires that observe them, which
+ *   gives every task a happens-before edge into the caller's
+ *   return — the barrier the engine's determinism argument leans
+ *   on: everything a shard wrote in phase k is visible to every
+ *   reader of phase k+1.
+ * - Waiting. A thread waiting for the pool (a worker for the next
+ *   epoch, the caller for the last acknowledgement) spins for
+ *   about kSpinNs before it parks on a condition variable, since
+ *   the engine's next batch is normally microseconds away. It does
+ *   not spin at all while the process's pool workers outnumber the
+ *   hardware threads: there, spinning would hold the core the
+ *   awaited thread needs. A parking thread announces itself in a
+ *   counter the waker reads after publishing (both sequentially
+ *   consistent, Dekker style), so a wakeup is never lost.
  */
 
 #ifndef METRO_SIM_POOL_HH
 #define METRO_SIM_POOL_HH
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace metro
 {
 
 /** Runs batches of indexed tasks across N persistent workers plus
- *  the calling thread. Not reentrant: one batch at a time. */
+ *  the calling thread, task k always on participant
+ *  k mod participants(). Not reentrant: one batch at a time. */
 class TickPool
 {
   public:
     /** A batch task: called once per index in [0, n). */
     using TaskFn = void (*)(void *ctx, unsigned index);
+
+    /** How long a waiting thread spins before it parks. */
+    static constexpr std::chrono::nanoseconds kSpinNs{100'000};
 
     TickPool() = default;
     ~TickPool() { resize(0); }
@@ -50,9 +76,17 @@ class TickPool
     TickPool &operator=(const TickPool &) = delete;
 
     /** Number of resident workers (excluding the caller). */
-    unsigned workers() const
+    unsigned workers() const { return workerCount_; }
+
+    /** Workers plus the calling thread. */
+    unsigned participants() const { return workerCount_ + 1; }
+
+    /** Workers currently parked on the epoch condition variable
+     *  (introspection for tests). */
+    unsigned
+    parkedWorkers() const
     {
-        return static_cast<unsigned>(threads_.size());
+        return parked_.load(std::memory_order_relaxed);
     }
 
     /** Set the resident worker count (0 tears the pool down).
@@ -60,125 +94,205 @@ class TickPool
     void
     resize(unsigned workers)
     {
-        if (workers == threads_.size())
+        if (workers == workerCount_)
             return;
         if (!threads_.empty()) {
             {
                 std::lock_guard<std::mutex> lk(m_);
-                stop_ = true;
+                stop_.store(true);
             }
             cv_.notify_all();
             for (auto &t : threads_)
                 t.join();
+            liveWorkers().fetch_sub(workerCount_);
             threads_.clear();
-            stop_ = false;
+            stop_.store(false);
         }
-        for (unsigned i = 0; i < workers; ++i)
-            threads_.emplace_back([this] { workerLoop(); });
+        workerCount_ = workers;
+        liveWorkers().fetch_add(workers);
+        // New workers start at the current epoch: the last batch is
+        // complete and must not run again.
+        const std::uint64_t start =
+            epoch_.load(std::memory_order_relaxed);
+        for (unsigned w = 0; w < workers; ++w)
+            threads_.emplace_back(
+                [this, w, start] { workerLoop(w + 1, start); });
     }
 
     /**
-     * Run fn(ctx, i) for every i in [0, n), distributing across the
-     * workers and the calling thread; returns once all n tasks have
-     * completed (the barrier). With no workers, runs inline.
+     * Run fn(ctx, i) for every i in [0, n), task i on participant
+     * i mod participants(); returns once every worker has
+     * acknowledged the batch (the barrier). With no workers, or a
+     * single task, runs inline on the caller.
      */
     void
     run(unsigned n, TaskFn fn, void *ctx)
     {
         if (n == 0)
             return;
-        if (threads_.empty() || n == 1) {
+        if (workerCount_ == 0 || n == 1) {
             for (unsigned i = 0; i < n; ++i)
                 fn(ctx, i);
             return;
         }
-        // Publish order matters for stragglers still parked on the
-        // previous epoch's exhausted cursor: done/fn/ctx first, the
-        // task count next, and only then the cursor reset that lets
-        // anyone pull — the acquire on the cursor RMW makes the
-        // rest visible.
-        done_.store(0, std::memory_order_relaxed);
-        fn_.store(fn, std::memory_order_relaxed);
-        ctx_.store(ctx, std::memory_order_relaxed);
-        nTasks_.store(n, std::memory_order_release);
-        next_.store(0, std::memory_order_release);
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            ++epoch_;
+        // Every worker acknowledged the previous epoch before the
+        // previous run() returned, so none reads these until the
+        // epoch store below publishes them.
+        fn_ = fn;
+        ctx_ = ctx;
+        nTasks_ = n;
+        acks_.store(0, std::memory_order_relaxed);
+        epoch_.fetch_add(1);
+        if (parked_.load() > 0) {
+            {
+                std::lock_guard<std::mutex> lk(m_);
+            }
+            cv_.notify_all();
         }
-        cv_.notify_all();
-        pullTasks();
-        if (done_.load(std::memory_order_acquire) != n) {
-            std::unique_lock<std::mutex> lk(doneM_);
-            doneCv_.wait(lk, [&] {
-                return done_.load(std::memory_order_acquire) == n;
-            });
-        }
+        runShare(0);
+        awaitAcks();
     }
 
   private:
-    void
-    pullTasks()
+    /** Pool workers alive in this process, over every pool: the
+     *  spin-or-park decision's oversubscription test. */
+    static std::atomic<unsigned> &
+    liveWorkers()
     {
-        for (;;) {
-            const unsigned i =
-                next_.fetch_add(1, std::memory_order_acq_rel);
-            // Re-read the count after the cursor RMW: a straggler
-            // from the previous epoch may cross into a freshly
-            // published batch here, and must bound itself by the
-            // fresh count, not a stale one.
-            const unsigned n =
-                nTasks_.load(std::memory_order_acquire);
-            if (i >= n)
-                return;
-            fn_.load(std::memory_order_relaxed)(
-                ctx_.load(std::memory_order_relaxed), i);
-            if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-                n) {
-                std::lock_guard<std::mutex> lk(doneM_);
-                doneCv_.notify_all();
-            }
+        static std::atomic<unsigned> count{0};
+        return count;
+    }
+
+    static bool
+    spinAllowed()
+    {
+        static const unsigned hw =
+            std::max(1u, std::thread::hardware_concurrency());
+        return liveWorkers().load(std::memory_order_relaxed) <= hw;
+    }
+
+    static void
+    cpuRelax()
+    {
+#if defined(__x86_64__) || defined(__i386__)
+        _mm_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    }
+
+    /** Spin until done() or about kSpinNs elapse; true if done. */
+    template <typename Done>
+    static bool
+    spinFor(Done done)
+    {
+        if (!spinAllowed())
+            return false;
+        const auto deadline =
+            std::chrono::steady_clock::now() + kSpinNs;
+        for (unsigned i = 1;; ++i) {
+            if (done())
+                return true;
+            cpuRelax();
+            if (i % 64 == 0 &&
+                std::chrono::steady_clock::now() >= deadline)
+                return false;
         }
     }
 
+    /** Run participant `self`'s tasks of the published batch. */
     void
-    workerLoop()
+    runShare(unsigned self)
     {
-        std::uint64_t seen = 0;
+        const unsigned step = workerCount_ + 1;
+        for (unsigned i = self; i < nTasks_; i += step)
+            fn_(ctx_, i);
+    }
+
+    void
+    awaitAcks()
+    {
+        const unsigned want = workerCount_;
+        const auto done = [&] {
+            return acks_.load(std::memory_order_acquire) == want;
+        };
+        if (spinFor(done))
+            return;
+        // The same handshake as a parking worker's, with acks_ as
+        // the published value and callerParked_ as the announcement.
+        std::unique_lock<std::mutex> lk(doneM_);
+        callerParked_.store(true);
+        doneCv_.wait(lk, [&] { return acks_.load() == want; });
+        callerParked_.store(false);
+    }
+
+    void
+    workerLoop(unsigned self, std::uint64_t seen)
+    {
         for (;;) {
-            {
+            const auto ready = [&] {
+                return epoch_.load(std::memory_order_acquire) !=
+                           seen ||
+                       stop_.load(std::memory_order_acquire);
+            };
+            if (!spinFor(ready)) {
+                // run() bumps the epoch without m_, then reads
+                // parked_; this side bumps parked_, then reads the
+                // epoch. Both are sequentially consistent, so at
+                // least one side sees the other's store: either the
+                // predicate sees the new epoch or run() notifies —
+                // after taking m_, i.e. once this thread waits.
                 std::unique_lock<std::mutex> lk(m_);
-                cv_.wait(lk,
-                         [&] { return stop_ || epoch_ > seen; });
-                if (stop_)
-                    return;
-                seen = epoch_;
+                parked_.fetch_add(1);
+                cv_.wait(lk, [&] {
+                    return epoch_.load() != seen || stop_.load();
+                });
+                parked_.fetch_sub(1);
             }
-            pullTasks();
+            if (stop_.load(std::memory_order_acquire))
+                return;
+            seen = epoch_.load(std::memory_order_acquire);
+            runShare(self);
+            if (acks_.fetch_add(1) + 1 == workerCount_ &&
+                callerParked_.load()) {
+                {
+                    std::lock_guard<std::mutex> lk(doneM_);
+                }
+                doneCv_.notify_one();
+            }
         }
     }
 
-    std::vector<std::thread> threads_;
+    /** The published batch: written by the caller before the epoch
+     *  store, read by workers after observing it. @{ */
+    TaskFn fn_ = nullptr;
+    void *ctx_ = nullptr;
+    unsigned nTasks_ = 0;
+    /** @} */
 
-    /** Epoch hand-off (guarded by m_). @{ */
+    /** Fixed while workers run (changed only by resize() with the
+     *  pool torn down). */
+    unsigned workerCount_ = 0;
+
+    /** Epoch hand-off to the workers; parked workers wait on cv_
+     *  under m_. @{ */
+    std::atomic<std::uint64_t> epoch_{0};
+    std::atomic<bool> stop_{false};
+    std::atomic<unsigned> parked_{0};
     std::mutex m_;
     std::condition_variable cv_;
-    std::uint64_t epoch_ = 0;
-    bool stop_ = false;
     /** @} */
 
-    /** The published batch. @{ */
-    std::atomic<TaskFn> fn_{nullptr};
-    std::atomic<void *> ctx_{nullptr};
-    std::atomic<unsigned> nTasks_{0};
-    std::atomic<unsigned> next_{0};
-    std::atomic<unsigned> done_{0};
-    /** @} */
-
-    /** Completion signalling back to the caller. @{ */
+    /** Acknowledgements back to the caller, who parks on doneCv_
+     *  under doneM_. @{ */
+    std::atomic<unsigned> acks_{0};
+    std::atomic<bool> callerParked_{false};
     std::mutex doneM_;
     std::condition_variable doneCv_;
     /** @} */
+
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> threads_;
 };
 
 } // namespace metro

@@ -76,6 +76,8 @@ runPoint(const SweepPoint &point, std::uint64_t index,
     }
     if (point.inspect)
         point.inspect(*instance.network, out.result);
+    if (instance.network->engine().profiling())
+        out.engineProfile = instance.network->engine().profile();
     out.wallSeconds = secondsSince(t0);
     return out;
 }
@@ -123,6 +125,12 @@ runSweep(const std::vector<SweepPoint> &points,
         return sweep;
     }
 
+    std::function<void(Network &)> before_run;
+    if (options.profileEngine)
+        before_run = [](Network &net) {
+            net.engine().setProfiling(true);
+        };
+
     // Work-stealing over an atomic cursor: each worker claims the
     // next unclaimed point and writes its slot of the pre-sized
     // result vector. Slots are disjoint, so the only shared state
@@ -141,8 +149,9 @@ runSweep(const std::vector<SweepPoint> &points,
                 cursor.fetch_add(1, std::memory_order_relaxed);
             if (i >= points.size())
                 return;
-            sweep.points[i] =
-                runPoint(points[i], i, options.engineThreads);
+            sweep.points[i] = runPoint(points[i], i,
+                                       options.engineThreads,
+                                       before_run);
         }
     };
 

@@ -36,6 +36,7 @@
 
 #include "network/network.hh"
 #include "sim/component.hh"
+#include "sim/engine.hh"
 #include "traffic/experiment.hh"
 
 namespace metro
@@ -123,6 +124,10 @@ struct SweepPointResult
     /** Wall-clock seconds this point took (timing metadata; kept
      *  out of deterministic report payloads). */
     double wallSeconds = 0.0;
+
+    /** The engine's self-profile of this point's run, when the
+     *  engine was profiling (timing metadata, like wallSeconds). */
+    EngineProfile engineProfile;
 };
 
 /** Runner settings. */
@@ -137,6 +142,10 @@ struct SweepOptions
      *  blobs included — byte-identical at every value, so this is
      *  purely a throughput knob. */
     unsigned engineThreads = 1;
+
+    /** Turn on every point's engine self-profile (Engine::
+     *  setProfiling); each result then carries its engineProfile. */
+    bool profileEngine = false;
 
     /** Polled before each worker claims its next point; returning
      *  true stops the sweep gracefully (in-flight points finish,
@@ -176,6 +185,8 @@ std::uint64_t sweepDeriveSeed(std::uint64_t base,
  * the sweep's result bit for bit. `before_run`, when set, sees the
  * freshly built network before the experiment starts (e.g. to
  * attach a ConnectionTracer); `point.inspect` sees it afterwards.
+ * If the engine is profiling when the run ends, the result carries
+ * its profile.
  */
 SweepPointResult runPoint(const SweepPoint &point, std::uint64_t index,
                           unsigned engine_threads = 1,

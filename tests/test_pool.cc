@@ -1,21 +1,29 @@
 /**
  * @file
- * TickPool lifecycle tests (sim/pool.hh).
+ * TickPool tests (sim/pool.hh).
  *
- * The pool's steady-state batch hand-off is exercised constantly by
- * the sharded-engine suites; what those never cover is the pool's
- * *lifecycle*: tearing it down while every worker is parked on the
- * epoch condition variable, and resizing it between campaigns — the
- * paths a long-lived serve process takes when the operator changes
- * --engine-threads between runs or shuts the process down. Both
- * must neither hang nor lose tasks.
+ * The hand-off: every index runs exactly once per batch whatever
+ * the batch size relative to the participant count, index k stays
+ * on one thread across batches (the engine's shard affinity),
+ * workers park after an idle spell and still pick up the next
+ * batch, and workers created by a resize start at the current epoch
+ * rather than replaying the last batch.
+ *
+ * The lifecycle: tearing the pool down while every worker is parked
+ * on the epoch condition variable, and resizing it between
+ * campaigns — the paths a long-lived serve process takes when the
+ * operator changes --engine-threads between runs or shuts the
+ * process down. Both must neither hang nor lose tasks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,6 +48,141 @@ bump(void *ctx, unsigned)
 {
     static_cast<Counter *>(ctx)->calls.fetch_add(
         1, std::memory_order_relaxed);
+}
+
+/** Per-index run counts, checked after every batch. */
+struct PerIndex
+{
+    std::vector<std::atomic<unsigned>> runs;
+    explicit PerIndex(unsigned n) : runs(n) {}
+};
+
+void
+bumpIndex(void *ctx, unsigned i)
+{
+    static_cast<PerIndex *>(ctx)->runs[i].fetch_add(
+        1, std::memory_order_relaxed);
+}
+
+/** Batches with n below, equal to and above the participant count
+ *  each run every index exactly once. */
+void
+expectEveryIndexOncePerBatch(TickPool &pool, unsigned batches)
+{
+    const unsigned p = pool.participants();
+    const unsigned sizes[] = {2, p - 1, p, p + 1, 2 * p + 3};
+    for (unsigned n : sizes) {
+        if (n == 0)
+            continue;
+        SCOPED_TRACE("n " + std::to_string(n));
+        PerIndex per(n);
+        for (unsigned b = 1; b <= batches; ++b) {
+            pool.run(n, &bumpIndex, &per);
+            for (unsigned i = 0; i < n; ++i) {
+                ASSERT_EQ(per.runs[i].load(), b)
+                    << "index " << i << " after batch " << b;
+            }
+        }
+    }
+}
+
+TEST(Pool, EveryIndexRunsExactlyOncePerBatch)
+{
+    TickPool pool;
+    pool.resize(3);
+    expectEveryIndexOncePerBatch(pool, 2000); // 10^4 batches
+}
+
+TEST(Pool, EveryIndexRunsExactlyOncePerBatchOversubscribed)
+{
+    // More workers than hardware threads: nobody spins, every
+    // hand-off goes through the condition variables.
+    TickPool pool;
+    pool.resize(std::max(1u, std::thread::hardware_concurrency()) + 1);
+    expectEveryIndexOncePerBatch(pool, 200);
+}
+
+TEST(Pool, ResizedWorkersDoNotReplayTheLastBatch)
+{
+    Counter c;
+    TickPool pool;
+    unsigned expected = 0;
+    for (unsigned workers : {2u, 5u, 1u, 6u, 0u, 3u}) {
+        pool.resize(workers);
+        // Give the new workers time to start and look at the epoch:
+        // one that took the previous batch for a new one would run
+        // it again now.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_EQ(c.calls.load(), expected)
+            << "a worker replayed the last batch after resize("
+            << workers << ")";
+        pool.run(7, &bump, &c);
+        expected += 7;
+        EXPECT_EQ(c.calls.load(), expected);
+    }
+}
+
+/** The thread each index ran on in the first batch, and how often a
+ *  later batch ran it elsewhere. */
+struct Placement
+{
+    std::vector<std::thread::id> first;
+    std::atomic<unsigned> moved{0};
+    explicit Placement(unsigned n) : first(n) {}
+};
+
+void
+recordPlacement(void *ctx, unsigned i)
+{
+    auto *p = static_cast<Placement *>(ctx);
+    const auto self = std::this_thread::get_id();
+    if (p->first[i] == std::thread::id())
+        p->first[i] = self;
+    else if (p->first[i] != self)
+        p->moved.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(Pool, IndexStaysOnOneThreadAcrossBatches)
+{
+    TickPool pool;
+    pool.resize(3);
+    const unsigned n = 2 * pool.participants() + 1;
+    Placement placement(n);
+    for (unsigned b = 0; b < 500; ++b)
+        pool.run(n, &recordPlacement, &placement);
+    EXPECT_EQ(placement.moved.load(), 0u);
+    // Index k runs on participant k mod participants(); the caller
+    // is participant 0, and the participants are distinct threads.
+    EXPECT_EQ(placement.first[0], std::this_thread::get_id());
+    std::set<std::thread::id> threads;
+    for (unsigned k = 0; k < n; ++k) {
+        EXPECT_EQ(placement.first[k],
+                  placement.first[k % pool.participants()]);
+        threads.insert(placement.first[k]);
+    }
+    EXPECT_EQ(threads.size(), pool.participants());
+}
+
+TEST(Pool, WorkersParkWhenIdleAndWakeForTheNextBatch)
+{
+    Counter c;
+    TickPool pool;
+    pool.resize(3);
+    unsigned expected = 0;
+    for (int round = 0; round < 3; ++round) {
+        pool.run(8, &bump, &c);
+        expected += 8;
+        EXPECT_EQ(c.calls.load(), expected);
+        // Spinning is bounded: an idle pool ends up fully parked.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (pool.parkedWorkers() < pool.workers() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_EQ(pool.parkedWorkers(), pool.workers());
+    }
+    pool.run(8, &bump, &c);
+    EXPECT_EQ(c.calls.load(), expected + 8);
 }
 
 TEST(Pool, DestructionWhileWorkersParked)

@@ -6,10 +6,12 @@
  * promises *byte identity*: no observable — wire trace, message
  * ledger, metrics — may depend on the thread count. The property
  * tests here run seeded fault-campaign scenarios at threads
- * {1, 2, 4, 8} and compare everything byte for byte; the structural
- * tests pin down the plan itself (stage-aligned shard cuts, parked
- * empty shards, plan rebuilds across mid-campaign component
- * removal) through the engine's shard-introspection API.
+ * {1, 2, 3, 4, 8} and compare everything byte for byte; the
+ * structural tests pin down the plan itself (cost-balanced shard
+ * cuts, corrupt-link ends kept serial, parked empty shards, plan
+ * rebuilds across mid-campaign component removal) through the
+ * engine's shard-introspection API, and the self-profile tests hold
+ * the engine's phase accounting to its wall time.
  *
  * The whole suite doubles as the METRO_TSAN target (ci/tsan-engine.sh):
  * the saturated soak keeps every worker busy on shared lanes long
@@ -18,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <chrono>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "report/json.hh"
 #include "sweep/sweep.hh"
 #include "trace/probe.hh"
+#include "traffic/drivers.hh"
 #include "traffic/experiment.hh"
 
 namespace metro
@@ -146,7 +151,7 @@ TEST(Shard, FaultCampaignByteIdenticalAcrossThreadCounts)
     for (std::uint64_t seed : {0x5AADULL, 0xF00DULL}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const Outcome serial = runCampaignScenario(1, seed);
-        for (unsigned threads : {2u, 4u, 8u}) {
+        for (unsigned threads : {2u, 3u, 4u, 8u}) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             const Outcome parallel =
                 runCampaignScenario(threads, seed);
@@ -157,78 +162,99 @@ TEST(Shard, FaultCampaignByteIdenticalAcrossThreadCounts)
     }
 }
 
-/** The shard cut points Network::finalize hints: the first router
- *  of every stage plus the first endpoint. */
-std::set<const Component *>
-stageBoundaries(Network &net)
-{
-    std::set<const Component *> hints;
-    for (unsigned s = 0; s < net.numStages(); ++s)
-        hints.insert(&net.router(net.routersInStage(s).front()));
-    hints.insert(&net.endpoint(0));
-    return hints;
-}
-
 /**
- * Every shard-id change along the registration order must land on a
- * stage boundary (valid whenever there are at least as many hint
- * groups as threads — the planner then never splits inside a
- * stage), and members must cover every parallel-safe component.
+ * The plan is balanced and complete: min(threads, parallel-safe
+ * members) shards, each within one member's tick cost of an equal
+ * share of the total, covering every parallel-safe component —
+ * which, in a plain build without observers or handlers, is every
+ * router and endpoint.
  */
 void
-expectStageAlignedPlan(Network &net, unsigned threads)
+expectBalancedPlan(Network &net, unsigned threads)
 {
     Engine &engine = net.engine();
     engine.setThreads(threads);
-    const auto hints = stageBoundaries(net);
-    ASSERT_GE(engine.shardCount(), 2u);
-    ASSERT_LE(engine.shardCount(), threads);
 
     std::size_t parallel_members = 0;
-    int prev = -1;
+    std::uint64_t total = 0, max_cost = 0;
     for (std::size_t i = 0; i < engine.scheduledCount(); ++i) {
         Component *c = engine.scheduledComponent(i);
-        const int shard = engine.shardOf(c);
-        if (shard < 0)
+        if (engine.shardOf(c) < 0)
             continue; // serial section: drivers, probes, monitors
         ++parallel_members;
-        if (prev >= 0 && shard != prev) {
-            EXPECT_TRUE(hints.count(c) != 0)
-                << "shard boundary inside a stage at registration "
-                   "index "
-                << i << " (" << c->name() << ")";
-        }
-        prev = shard;
+        total += c->tickCost();
+        max_cost = std::max<std::uint64_t>(max_cost, c->tickCost());
     }
+    const std::size_t shards =
+        std::min<std::size_t>(threads, parallel_members);
+    ASSERT_EQ(engine.shardCount(), shards);
 
     std::size_t sharded = 0;
-    for (std::size_t k = 0; k < engine.shardCount(); ++k) {
+    for (std::size_t k = 0; k < shards; ++k) {
         EXPECT_GT(engine.shardMembers(k), 0u);
         sharded += engine.shardMembers(k);
+        // |cost * shards - total| <= max_cost * shards, in integers.
+        const std::uint64_t scaled = engine.shardCost(k) * shards;
+        const std::uint64_t gap =
+            scaled > total ? scaled - total : total - scaled;
+        EXPECT_LE(gap, max_cost * shards)
+            << "shard " << k << " costs " << engine.shardCost(k)
+            << " of " << total << " over " << shards << " shards";
     }
     EXPECT_EQ(sharded, parallel_members);
 
-    // A plain build has no observers/handlers: every router and
-    // endpoint must have made it into the parallel section.
     for (RouterId r = 0; r < net.numRouters(); ++r)
         EXPECT_GE(engine.shardOf(&net.router(r)), 0);
     for (NodeId e = 0; e < net.numEndpoints(); ++e)
         EXPECT_GE(engine.shardOf(&net.endpoint(e)), 0);
 }
 
-TEST(Shard, StageAlignedPartitionMultibutterfly)
+/** A corrupt link's two end components share its corruption PRNG:
+ *  the plan keeps them serial while the fault lasts, and the rest
+ *  of the plan stays balanced around them. */
+void
+expectCorruptEndsSerial(Network &net, unsigned threads)
 {
-    auto net = buildMultibutterfly(fig3Spec(1));
-    expectStageAlignedPlan(*net, 4);
+    Engine &engine = net.engine();
+    engine.setThreads(threads);
+    Link &link = net.link(net.numLinks() / 2);
+    link.setFault(LinkFault::Corrupt);
+    ASSERT_NE(link.wakeA(), nullptr);
+    ASSERT_NE(link.wakeB(), nullptr);
+    EXPECT_EQ(engine.shardOf(link.wakeA()), -1);
+    EXPECT_EQ(engine.shardOf(link.wakeB()), -1);
+    std::size_t sharded = 0;
+    for (std::size_t k = 0; k < engine.shardCount(); ++k)
+        sharded += engine.shardMembers(k);
+    EXPECT_EQ(sharded,
+              net.numRouters() + net.numEndpoints() - 2);
+
+    link.setFault(LinkFault::None);
+    EXPECT_GE(engine.shardOf(link.wakeA()), 0);
+    EXPECT_GE(engine.shardOf(link.wakeB()), 0);
 }
 
-TEST(Shard, StageAlignedPartitionFatTree)
+TEST(Shard, BalancedPartitionMultibutterfly)
+{
+    for (unsigned threads : {2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        auto net = buildMultibutterfly(fig3Spec(1));
+        expectBalancedPlan(*net, threads);
+        expectCorruptEndsSerial(*net, threads);
+    }
+}
+
+TEST(Shard, BalancedPartitionFatTree)
 {
     FatTreeSpec spec;
     spec.levels = 4;
     spec.seed = 1;
-    auto net = buildFatTree(spec);
-    expectStageAlignedPlan(*net, 4);
+    for (unsigned threads : {2u, 3u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        auto net = buildFatTree(spec);
+        expectBalancedPlan(*net, threads);
+        expectCorruptEndsSerial(*net, threads);
+    }
 }
 
 TEST(Shard, Mb1024PresetBuildsAndPartitions)
@@ -238,8 +264,18 @@ TEST(Shard, Mb1024PresetBuildsAndPartitions)
     EXPECT_EQ(spec.stages.size(), 5u);
     auto net = buildMultibutterfly(spec);
     EXPECT_EQ(net->numEndpoints(), 1024u);
-    expectStageAlignedPlan(*net, 4);
+    expectBalancedPlan(*net, 4);
     net->engine().run(50); // idle settle under the parallel plan
+}
+
+/** More threads than parallel-safe members: one member per shard. */
+TEST(Shard, MoreThreadsThanMembersGivesOneShardEach)
+{
+    auto net = buildMultibutterfly(fig1Spec(1));
+    const std::size_t members = net->numRouters() + net->numEndpoints();
+    expectBalancedPlan(*net, static_cast<unsigned>(members + 3));
+    for (std::size_t k = 0; k < net->engine().shardCount(); ++k)
+        EXPECT_EQ(net->engine().shardMembers(k), 1u);
 }
 
 TEST(Shard, EmptyShardsParkWithoutDispatch)
@@ -303,7 +339,7 @@ TEST(Shard, SaturatedSoakConservesUnderAllThreadCounts)
     // Open-loop overload: every injector fires nearly every cycle,
     // so all shards stay live and boundary lanes carry contention
     // continuously. Primary target of ci/tsan-engine.sh.
-    for (unsigned threads : {2u, 4u, 8u}) {
+    for (unsigned threads : {2u, 3u, 4u, 8u}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         auto net = buildMultibutterfly(fig3Spec(4));
         net->engine().setThreads(threads);
@@ -429,6 +465,105 @@ TEST(Shard, SweepReportsInvariantUnderEngineThreads)
                               /*include_metrics=*/true);
     EXPECT_EQ(m1, m4);
     EXPECT_NE(m1.find("\"words.injected\""), std::string::npos);
+}
+
+/** mb1024 saturated: every endpoint a closed-loop driver with think
+ *  time 0. Members are destroyed drivers first (they point into the
+ *  network). */
+struct SaturatedMb1024
+{
+    std::unique_ptr<Network> net;
+    std::unique_ptr<DestinationGenerator> dests;
+    std::vector<std::unique_ptr<ClosedLoopDriver>> drivers;
+
+    explicit SaturatedMb1024(unsigned threads)
+        : net(buildMultibutterfly(mb1024Spec(1)))
+    {
+        const auto n = static_cast<NodeId>(net->numEndpoints());
+        dests = std::make_unique<DestinationGenerator>(
+            TrafficPattern::UniformRandom, n, 0x77);
+        DriverConfig dcfg;
+        dcfg.messageWords = 20;
+        for (NodeId e = 0; e < n; ++e) {
+            drivers.push_back(std::make_unique<ClosedLoopDriver>(
+                &net->endpoint(e), dests.get(), dcfg, /*think=*/0,
+                0x5151ULL * (e + 1)));
+            net->engine().addComponent(drivers.back().get());
+        }
+        net->engine().setThreads(threads);
+    }
+
+    std::string
+    snapshot()
+    {
+        return metricsJson(net->metricsSnapshot());
+    }
+};
+
+TEST(Shard, Mb1024SaturatedByteIdenticalAtOneAndFourThreads)
+{
+    SaturatedMb1024 serial(1), sharded(4);
+    EXPECT_EQ(sharded.net->engine().shardCount(), 4u);
+    serial.net->engine().run(300);
+    sharded.net->engine().run(300);
+    EXPECT_EQ(serial.snapshot(), sharded.snapshot());
+    EXPECT_EQ(ledgerDump(*serial.net), ledgerDump(*sharded.net));
+}
+
+TEST(Shard, SelfProfileAccountsForRunWallTime)
+{
+    constexpr Cycle kCycles = 200;
+    SaturatedMb1024 plain(4), profiled(4);
+    Engine &engine = profiled.net->engine();
+    EXPECT_FALSE(engine.profiling());
+    engine.setProfiling(true);
+
+    plain.net->engine().run(kCycles);
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.run(kCycles);
+    const auto wall = std::chrono::duration_cast<
+                          std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+
+    const EngineProfile &p = engine.profile();
+    EXPECT_EQ(p.cycles, kCycles);
+    EXPECT_GE(static_cast<double>(p.wallNs()),
+              0.95 * static_cast<double>(wall))
+        << "profiled parts " << p.wallNs() << " ns of " << wall
+        << " ns in Engine::run";
+    EXPECT_LE(p.wallNs(), static_cast<std::uint64_t>(wall));
+    ASSERT_EQ(p.shardNs.size(), 4u);
+    for (std::uint64_t ns : p.shardNs)
+        EXPECT_GT(ns, 0u);
+    ASSERT_EQ(p.serialNs.size(), 1u);
+    EXPECT_NE(p.serialNs[0].name.find("ClosedLoopDriver"),
+              std::string::npos);
+    EXPECT_GT(p.serialNs[0].ns, 0u);
+    EXPECT_EQ(p.serialLoopNs, 0u);
+
+    // Profiling is timing only: the simulated state is unchanged.
+    EXPECT_EQ(plain.snapshot(), profiled.snapshot());
+    EXPECT_EQ(ledgerDump(*plain.net), ledgerDump(*profiled.net));
+}
+
+TEST(Shard, SelfProfileAtOneThreadTimesTheSerialLoop)
+{
+    auto net = buildMultibutterfly(fig1Spec(1));
+    Engine &engine = net->engine();
+    engine.setProfiling(true);
+    engine.run(100);
+    const EngineProfile &p = engine.profile();
+    EXPECT_EQ(p.cycles, 100u);
+    EXPECT_GT(p.serialLoopNs, 0u);
+    EXPECT_EQ(p.wallNs(), p.serialLoopNs);
+    EXPECT_TRUE(p.shardNs.empty());
+
+    engine.setProfiling(false);
+    engine.run(10);
+    EXPECT_EQ(engine.profile().cycles, 100u);
+    engine.setProfiling(true); // restarts from zero
+    EXPECT_EQ(engine.profile().cycles, 0u);
 }
 
 } // namespace

@@ -167,6 +167,34 @@ TEST(SweepJson, TimingMetadataIsOptIn)
     const auto timed = sweepJson(sweep, /*include_timing=*/true);
     EXPECT_NE(timed.find("wallSeconds"), std::string::npos);
     EXPECT_NE(timed.find("\"threads\""), std::string::npos);
+    // No profile was asked for, so none is reported.
+    EXPECT_EQ(timed.find("engineProfile"), std::string::npos);
+}
+
+TEST(SweepJson, EngineProfileRidesWithTimingOnly)
+{
+    auto points = smallSweep();
+    points.resize(2);
+    SweepOptions options;
+    options.engineThreads = 2;
+    const auto plain = runSweep(points, options);
+    options.profileEngine = true;
+    const auto profiled = runSweep(points, options);
+
+    for (const auto &p : profiled.points) {
+        EXPECT_GT(p.engineProfile.cycles, 0u);
+        EXPECT_EQ(p.engineProfile.shardNs.size(), 2u);
+    }
+    EXPECT_EQ(plain.points[0].engineProfile.cycles, 0u);
+
+    // The profile is timing metadata: results are unchanged, and
+    // only the timed document reports it.
+    EXPECT_EQ(sweepCsv(plain), sweepCsv(profiled));
+    EXPECT_EQ(sweepJson(plain, false, true),
+              sweepJson(profiled, false, true));
+    const auto timed = sweepJson(profiled, /*include_timing=*/true);
+    EXPECT_NE(timed.find("\"engineProfile\""), std::string::npos);
+    EXPECT_NE(timed.find("\"shardSeconds\""), std::string::npos);
 }
 
 TEST(SweepCsv, OneRowPerPointWithReplicateAndSeed)
