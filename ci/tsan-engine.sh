@@ -6,12 +6,14 @@
 # suite — the byte-identity property tests, the plan-structure
 # tests, the mid-campaign removal test, the self-profile tests, and
 # the saturated multi-thread soak (which keeps every worker
-# contending on shared boundary lanes) — the tick-pool suite (the
-# epoch hand-off, spin-then-park waits and resize), plus the
-# thread-parameterized quiescence equivalence tests, under
-# ThreadSanitizer. Any unsynchronized access in the tick pool, the
-# deferred-activation exchange, the chunked phase-2 commit, or the
-# scratch-metrics flush fails the job.
+# contending on shared boundary lanes) — the 1 → 4 → 1 mid-run
+# thread-switch test, the tick-pool suite (the epoch hand-off,
+# spin-then-park waits and resize), plus the thread-parameterized
+# quiescence equivalence tests, under ThreadSanitizer. Any
+# unsynchronized access in the tick pool, the deferred-activation
+# exchange, the chunked phase-2 commit, or the router and endpoint
+# counter blocks (written by their shard, folded serially) fails the
+# job.
 #
 # Usage: ci/tsan-engine.sh [build-dir]   (default: build-tsan)
 # (Shares build-tsan with ci/tsan-sweep.sh by default: same
@@ -27,4 +29,4 @@ cmake -B "$BUILD" -S . \
     -DMETRO_TSAN=ON
 cmake --build "$BUILD" -j "$(nproc)" --target metro_tests
 ctest --test-dir "$BUILD" --output-on-failure \
-    -R 'Shard|Pool|QuiescenceAtThreads'
+    -R 'Shard|EngineThreadSwitch|Pool|QuiescenceAtThreads'

@@ -182,6 +182,30 @@ pointLabel(const SweepConfig &c, std::size_t v)
     return "";
 }
 
+/** Why `e` names a link, router or port `net` lacks; "" if none. */
+std::string
+faultTargetError(Network &net, const FaultEvent &e)
+{
+    const std::string at = "fault at cycle " + std::to_string(e.at) + ": ";
+    const bool link = e.kind <= FaultKind::LinkHeal;
+    const std::size_t have = link ? net.numLinks() : net.numRouters();
+    if (e.target >= have)
+        return at + (link ? "link " : "router ") +
+               std::to_string(e.target) + " out of range (the network has " +
+               std::to_string(have) + (link ? " links)" : " routers)");
+    const bool fwd = e.kind == FaultKind::ForwardPortOff;
+    if (!fwd && e.kind != FaultKind::BackwardPortOff)
+        return "";
+    const RouterParams &p = net.router(e.target).params();
+    const unsigned ports = fwd ? p.numForward : p.numBackward;
+    if (e.port < ports)
+        return "";
+    return at + (fwd ? "forward" : "backward") + " port " +
+           std::to_string(e.port) + " out of range (router " +
+           std::to_string(e.target) + " has " + std::to_string(ports) +
+           ")";
+}
+
 } // namespace
 
 std::optional<MultibutterflySpec>
@@ -311,6 +335,17 @@ expandPoints(const SweepConfig &c, std::string &error)
                 " processes exceeds " + std::to_string(kMaxSweepPoints) +
                 " points";
         return std::nullopt;
+    }
+
+    // A scheduled fault must name a link, router and port the
+    // network has; the injector would otherwise fail mid-run.
+    if (c.network.faults.has_value() && !c.network.faults->events.empty()) {
+        const auto net = c.network.build();
+        for (const FaultEvent &e : c.network.faults->events) {
+            error = faultTargetError(*net, e);
+            if (!error.empty())
+                return std::nullopt;
+        }
     }
 
     const unsigned endpoints = c.network.numEndpoints();

@@ -1,5 +1,7 @@
 #include "app/faultfile.hh"
 
+#include <cstdint>
+
 #include "app/knob.hh"
 
 namespace metro
@@ -54,6 +56,10 @@ parseEvent(const std::string &value, FaultEvent &event)
         ++kind;
     if (kind == kKindNames.size())
         return "unknown fault kind: " + words[1];
+    // Targets and ports are 32-bit ids: wider values must not wrap
+    // onto a real one. The built network checks the rest.
+    if (target > UINT32_MAX || port > UINT32_MAX)
+        return "fault target out of range";
     event.at = at;
     event.kind = static_cast<FaultKind>(kind);
     event.target = static_cast<std::uint32_t>(target);

@@ -14,8 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -170,71 +168,6 @@ class Histogram
     mutable std::vector<std::uint64_t> samples_;
     mutable bool sorted_ = false;
     Summary summary_;
-};
-
-/**
- * A named bag of counters, for ad-hoc event counting (blocks per
- * stage, drops, retries, checksum failures...).
- *
- * Hot paths intern a slot() once (constructor time) and bump the
- * returned reference directly, skipping the per-event string
- * construction and map lookup of add(). Interned slots start at
- * zero and stay invisible to all() until first incremented, so
- * interning never changes the observable counter set.
- */
-class CounterSet
-{
-  public:
-    /** Add `delta` to the counter called `name`. */
-    void
-    add(const std::string &name, std::uint64_t delta = 1)
-    {
-        counters_[name] += delta;
-    }
-
-    /**
-     * A stable reference to the counter called `name` (map nodes
-     * never move). Creates the counter at zero; zero-valued
-     * counters are omitted from all(), so merely interning a slot
-     * is unobservable.
-     */
-    std::uint64_t &slot(const std::string &name)
-    {
-        return counters_[name];
-    }
-
-    /** Current value of `name` (0 if never touched). */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
-    }
-
-    /** All counters that ever fired, sorted by name. Zero-valued
-     *  entries (interned-but-unused slots) are omitted — identical
-     *  to the set add() alone would have produced. */
-    std::map<std::string, std::uint64_t>
-    all() const
-    {
-        std::map<std::string, std::uint64_t> out;
-        for (const auto &[name, value] : counters_) {
-            if (value != 0)
-                out.emplace(name, value);
-        }
-        return out;
-    }
-
-    /** Zero every counter (interned slot references stay valid). */
-    void
-    reset()
-    {
-        for (auto &[name, value] : counters_)
-            value = 0;
-    }
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
 };
 
 } // namespace metro

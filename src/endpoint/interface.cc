@@ -22,112 +22,6 @@ NetworkInterface::NetworkInterface(NodeId id, const NiConfig &config,
     budget_.configure(config_.retry.retryBudget,
                       config_.retry.retryBudgetCap);
     markSleepable();
-    cSubmitted_ = &counters_.slot("submitted");
-    cAttempts_ = &counters_.slot("attempts");
-    cRetries_ = &counters_.slot("retries");
-    cSuccesses_ = &counters_.slot("successes");
-    cFailedAttempts_ = &counters_.slot("failedAttempts");
-    cDeliveries_ = &counters_.slot("deliveries");
-    cBlockedStatuses_ = &counters_.slot("blockedStatuses");
-    cBcbAborts_ = &counters_.slot("bcbAborts");
-}
-
-void
-NetworkInterface::setMetrics(MetricsRegistry *metrics)
-{
-    metrics_ = metrics;
-    if (metrics == nullptr) {
-        real_ = {&scratch_,     &scratch_,     &scratch_,
-                 &scratch_,     &scratch_,     &scratch_,
-                 &scratchHist_, &scratchHist_, &scratchHist_,
-                 &scratchHist_, &scratchHist_};
-    } else {
-        real_ = {&metrics->counter("words.injected"),
-                 &metrics->counter("words.delivered"),
-                 &metrics->counter("words.discarded.endpoint"),
-                 &metrics->counter("words.submitted"),
-                 &metrics->counter("words.admitted"),
-                 &metrics->counter("words.shed.admission"),
-                 &metrics->histogram("conn.setup_latency"),
-                 &metrics->histogram("conn.turn_roundtrip"),
-                 &metrics->histogram("conn.path_length"),
-                 &metrics->histogram("conn.attempts"),
-                 &metrics->histogram("conn.giveup_latency")};
-    }
-    bindMetricSlots();
-}
-
-void
-NetworkInterface::bindMetricSlots()
-{
-    // The registry slots are shared across endpoints, so while
-    // parallel phase-1 runs the hot pointers aim at per-endpoint
-    // scratch instead; Engine::syncStats folds it back.
-    if (concMetrics_) {
-        mInjected_ = &concInjected_;
-        mDelivered_ = &concDelivered_;
-        mDiscardEp_ = &concDiscardEp_;
-        mSubmitted_ = &concSubmitted_;
-        mAdmitted_ = &concAdmitted_;
-        mShedAdm_ = &concShedAdm_;
-        hSetup_ = &concSetup_;
-        hTurnRt_ = &concTurnRt_;
-        hPathLen_ = &concPathLen_;
-        hAttempts_ = &concAttempts_;
-        hGiveUp_ = &concGiveUp_;
-    } else {
-        mInjected_ = real_.injected;
-        mDelivered_ = real_.delivered;
-        mDiscardEp_ = real_.discardEp;
-        mSubmitted_ = real_.submitted;
-        mAdmitted_ = real_.admitted;
-        mShedAdm_ = real_.shedAdm;
-        hSetup_ = real_.setup;
-        hTurnRt_ = real_.turnRt;
-        hPathLen_ = real_.pathLen;
-        hAttempts_ = real_.attempts;
-        hGiveUp_ = real_.giveUp;
-    }
-}
-
-void
-NetworkInterface::setConcurrentMetrics(bool on)
-{
-    if (on == concMetrics_)
-        return;
-    concMetrics_ = on;
-    if (!on)
-        flushConcurrentMetrics();
-    bindMetricSlots();
-}
-
-void
-NetworkInterface::flushConcurrentMetrics()
-{
-    const auto flushCounter = [](std::uint64_t *to,
-                                 std::uint64_t &from) {
-        if (from != 0) {
-            *to += from;
-            from = 0;
-        }
-    };
-    const auto flushHist = [](LogHistogram *to, LogHistogram &from) {
-        if (from.count() != 0) {
-            to->merge(from);
-            from.reset();
-        }
-    };
-    flushCounter(real_.injected, concInjected_);
-    flushCounter(real_.delivered, concDelivered_);
-    flushCounter(real_.discardEp, concDiscardEp_);
-    flushCounter(real_.submitted, concSubmitted_);
-    flushCounter(real_.admitted, concAdmitted_);
-    flushCounter(real_.shedAdm, concShedAdm_);
-    flushHist(real_.setup, concSetup_);
-    flushHist(real_.turnRt, concTurnRt_);
-    flushHist(real_.pathLen, concPathLen_);
-    flushHist(real_.attempts, concAttempts_);
-    flushHist(real_.giveUp, concGiveUp_);
 }
 
 void
@@ -226,7 +120,7 @@ NetworkInterface::pushGroupDown(const std::vector<Link *> &group,
 {
     // One logical word per group push, regardless of slice count.
     if (s.kind == SymbolKind::Data)
-        ++*mInjected_;
+        ++share_.words[Words::injected];
     for (unsigned k = 0; k < group.size(); ++k)
         group[k]->pushDown(sliceOf(s, k));
 }
@@ -236,7 +130,7 @@ NetworkInterface::pushGroupUp(const std::vector<Link *> &group,
                               const Symbol &s)
 {
     if (s.kind == SymbolKind::Data)
-        ++*mInjected_;
+        ++share_.words[Words::injected];
     for (unsigned k = 0; k < group.size(); ++k)
         group[k]->pushUp(sliceOf(s, k));
 }
@@ -357,8 +251,8 @@ NetworkInterface::send(NodeId dest, std::vector<Word> payload,
         if (meta.rpcFanout > 0)
             rec.rpcGroup = meta.rpcGroup ? meta.rpcGroup : id;
     }
-    ++*cSubmitted_;
-    *mSubmitted_ += words;
+    ++counters_[NiCounter::submitted];
+    share_.words[Words::submitted] += words;
     if (config_.retry.sendQueueLimit > 0 &&
         queue_.size() >= config_.retry.sendQueueLimit) {
         // Admission control: shed at the source boundary. The
@@ -370,11 +264,11 @@ NetworkInterface::send(NodeId dest, std::vector<Word> payload,
         rec.shedAdmission = true;
         rec.submitCycle = lastCycle_;
         rec.completeCycle = lastCycle_;
-        counters_.add("admissionSheds");
-        *mShedAdm_ += words;
+        ++counters_[NiCounter::admissionSheds];
+        share_.words[Words::shedAdmission] += words;
         return id;
     }
-    *mAdmitted_ += words;
+    share_.words[Words::admitted] += words;
     queue_.push_back(id);
     return id;
 }
@@ -396,9 +290,9 @@ NetworkInterface::sendSession(NodeId dest,
         tracker_->create(id_, dest, rounds.front(), nextSequence_++,
                          /*request_reply=*/true, kNever);
     tracker_->record(id).sessionRounds = std::move(rounds);
-    ++*cSubmitted_;
-    counters_.add("sessionsSubmitted");
-    *mSubmitted_ += words;
+    ++counters_[NiCounter::submitted];
+    ++counters_[NiCounter::sessionsSubmitted];
+    share_.words[Words::submitted] += words;
     if (config_.retry.sendQueueLimit > 0 &&
         queue_.size() >= config_.retry.sendQueueLimit) {
         auto &rec = tracker_->record(id);
@@ -406,11 +300,11 @@ NetworkInterface::sendSession(NodeId dest,
         rec.shedAdmission = true;
         rec.submitCycle = lastCycle_;
         rec.completeCycle = lastCycle_;
-        counters_.add("admissionSheds");
-        *mShedAdm_ += words;
+        ++counters_[NiCounter::admissionSheds];
+        share_.words[Words::shedAdmission] += words;
         return id;
     }
-    *mAdmitted_ += words;
+    share_.words[Words::admitted] += words;
     queue_.push_back(id);
     return id;
 }
@@ -479,11 +373,11 @@ NetworkInterface::startAttempt(Cycle cycle)
 
     auto &rec = tracker_->record(activeMsg_);
     ++rec.attempts;
-    ++*cAttempts_;
+    ++counters_[NiCounter::attempts];
     if (rec.attempts == 1)
         prevBackoff_ = 0; // fresh message: no previous delay
     else
-        ++*cRetries_;
+        ++counters_[NiCounter::retries];
     attemptStart_ = cycle;
     if (observer_ != nullptr)
         observer_->onAttemptStart(activeMsg_, rec.attempts, cycle);
@@ -550,9 +444,9 @@ NetworkInterface::scheduleRetry(Cycle cycle)
     if (rec.attempts >= config_.maxAttempts) {
         rec.gaveUp = true;
         rec.completeCycle = cycle;
-        counters_.add("giveUps");
-        hAttempts_->sample(rec.attempts);
-        hGiveUp_->sample(cycle - rec.submitCycle);
+        ++counters_[NiCounter::giveUps];
+        share_.conn[NiConn::attempts].sample(rec.attempts);
+        share_.conn[NiConn::giveupLatency].sample(cycle - rec.submitCycle);
         if (observer_ != nullptr)
             observer_->onMessageResolved(activeMsg_, false, cycle);
         releaseGate();
@@ -572,7 +466,7 @@ NetworkInterface::scheduleRetry(Cycle cycle)
     if (rp.ageClamp > 0 && ctx.messageAge >= rp.ageClamp &&
         wait > rp.backoffMin) {
         wait = rp.backoffMin;
-        counters_.add("backoffClamps");
+        ++counters_[NiCounter::backoffClamps];
     }
     prevBackoff_ = wait;
     backoffUntil_ = cycle + 1 + wait;
@@ -594,13 +488,13 @@ NetworkInterface::admitRetry(MessageRecord &rec, Cycle cycle)
         // insists on).
         if (!rec.starved) {
             rec.starved = true;
-            counters_.add("starvations");
+            ++counters_[NiCounter::starvations];
         }
         return true;
     }
     if (budget_.tryConsume())
         return true;
-    counters_.add("budgetDenials");
+    ++counters_[NiCounter::budgetDenials];
     return false;
 }
 
@@ -615,7 +509,7 @@ NetworkInterface::parkActive(const MessageRecord &rec, Cycle cycle)
         queue_.push_front(activeMsg_);
     else
         queue_.push_back(activeMsg_);
-    counters_.add("retriesParked");
+    ++counters_[NiCounter::retriesParked];
     releaseGate();
     activeMsg_ = 0;
     sendState_ = SendState::Idle;
@@ -642,9 +536,9 @@ NetworkInterface::finishAttempt(Cycle cycle, bool success)
         rec.replyOk = rec.requestReply;
         rec.sessionReplies = sessionReplies_;
         rec.roundsCompleted = roundsAckedOk_;
-        ++*cSuccesses_;
-        hAttempts_->sample(rec.attempts);
-        hPathLen_->sample(statuses_.size());
+        ++counters_[NiCounter::successes];
+        share_.conn[NiConn::attempts].sample(rec.attempts);
+        share_.conn[NiConn::pathLength].sample(statuses_.size());
         policy_->onOutcome(/*success=*/true, /*congested=*/false);
         budget_.onSuccess();
         reportAttempt(cycle, /*success=*/true);
@@ -656,7 +550,7 @@ NetworkInterface::finishAttempt(Cycle cycle, bool success)
         activeMsg_ = 0;
         sendState_ = SendState::Idle;
     } else {
-        ++*cFailedAttempts_;
+        ++counters_[NiCounter::failedAttempts];
         scheduleRetry(cycle);
     }
 }
@@ -673,7 +567,7 @@ NetworkInterface::tickSend(Cycle cycle)
         // tick in fixed engine order, so acquisition stays
         // deterministic.
         if (gate_ != nullptr && !gate_->tryAcquire()) {
-            counters_.add("gateDeferrals");
+            ++counters_[NiCounter::gateDeferrals];
             return;
         }
         gateHeld_ = gate_ != nullptr;
@@ -721,7 +615,7 @@ NetworkInterface::tickSend(Cycle cycle)
     if (!consistent) {
         // Slice streams disagree: a cascade fault escaped the
         // wired-AND. Treat the attempt as corrupted.
-        counters_.add("sliceDisagreement");
+        ++counters_[NiCounter::sliceDisagreement];
         abortCause_ = AttemptOutcome::SliceDisagree;
         sendState_ = SendState::Abort;
         return;
@@ -729,7 +623,7 @@ NetworkInterface::tickSend(Cycle cycle)
 
     if (sendState_ == SendState::Sending) {
         if (rsym.kind == SymbolKind::BcbDrop) {
-            ++*cBcbAborts_;
+            ++counters_[NiCounter::bcbAborts];
             abortCause_ = AttemptOutcome::BcbDrop;
             sendState_ = SendState::Abort;
             return; // truncate the stream; Drop goes out next tick
@@ -737,7 +631,7 @@ NetworkInterface::tickSend(Cycle cycle)
         // Reverse Data while still streaming forward is debris of a
         // dead round; it is not captured anywhere.
         if (rsym.kind == SymbolKind::Data)
-            ++*mDiscardEp_;
+            ++share_.words[Words::discardedEndpoint];
         pushGroupDown(*group, stream_[cursor_++]);
         if (cursor_ == stream_.size()) {
             sendState_ = SendState::Await;
@@ -758,27 +652,28 @@ NetworkInterface::tickSend(Cycle cycle)
         statuses_.push_back(sw);
         if (sw.blocked) {
             sawBlockedStatus_ = true;
-            ++*cBlockedStatuses_;
+            ++counters_[NiCounter::blockedStatuses];
         }
         break;
       }
       case SymbolKind::Ack: {
         ack_ = AckWord::decode(rsym.value);
         ackSeen_ = true;
-        hTurnRt_->sample(cycle - turnSent_);
+        share_.conn[NiConn::turnRoundtrip].sample(cycle - turnSent_);
         if (ack_.ok) {
             auto &rec = tracker_->record(activeMsg_);
             if (roundIndex_ == 0) {
                 rec.ackCycle = cycle;
-                hSetup_->sample(cycle - attemptStart_);
+                share_.conn[NiConn::setupLatency].sample(
+                    cycle - attemptStart_);
             }
         } else {
-            counters_.add("nacks");
+            ++counters_[NiCounter::nacks];
         }
         break;
       }
       case SymbolKind::Data:
-        ++*mDelivered_;
+        ++share_.words[Words::delivered];
         replyWords_.push_back(rsym.value);
         for (unsigned k = 0; k < cascade_; ++k)
             replySliceCrc_[k].update(
@@ -811,7 +706,7 @@ NetworkInterface::tickSend(Cycle cycle)
             if (ok && rec.requestReply) {
                 ok = replyChecksumSeen_ && roundReplyOk();
                 if (!ok) {
-                    counters_.add("replyChecksumFail");
+                    ++counters_[NiCounter::replyChecksumFail];
                     abortCause_ = AttemptOutcome::ReplyChecksum;
                 }
             }
@@ -820,7 +715,7 @@ NetworkInterface::tickSend(Cycle cycle)
         return;
       }
       case SymbolKind::BcbDrop:
-        ++*cBcbAborts_;
+        ++counters_[NiCounter::bcbAborts];
         abortCause_ = AttemptOutcome::BcbDrop;
         sendState_ = SendState::Abort;
         return;
@@ -829,14 +724,14 @@ NetworkInterface::tickSend(Cycle cycle)
         // session, Section 5.1).
         const auto &rec = tracker_->record(activeMsg_);
         if (!roundReplyOk() || sawBlockedStatus_) {
-            counters_.add("roundFailures");
+            ++counters_[NiCounter::roundFailures];
             abortCause_ = AttemptOutcome::RoundFail;
             sendState_ = SendState::Abort;
             return;
         }
         ++roundsAckedOk_;
         sessionReplies_.push_back(replyWords_);
-        counters_.add("roundsCompleted");
+        ++counters_[NiCounter::roundsCompleted];
         if (roundIndex_ + 1 < rec.sessionRounds.size()) {
             startRound(roundIndex_ + 1); // Sending resumes next tick
         } else {
@@ -850,12 +745,12 @@ NetworkInterface::tickSend(Cycle cycle)
         return;
       }
       case SymbolKind::Test:
-        counters_.add("strayAtSource");
+        ++counters_[NiCounter::strayAtSource];
         break;
     }
 
     if (cycle - turnSent_ > config_.replyTimeout) {
-        counters_.add("replyTimeouts");
+        ++counters_[NiCounter::replyTimeouts];
         abortCause_ = AttemptOutcome::ReplyTimeout;
         sendState_ = SendState::Abort;
     }
@@ -879,10 +774,10 @@ NetworkInterface::handleTurnAtReceiver(RecvPort &port, Cycle cycle)
     bool ok = crc_ok && rec != nullptr;
     if (ok && port.round == 0 && rec->dest != id_) {
         ok = false;
-        counters_.add("wrongDestination");
+        ++counters_[NiCounter::wrongDestination];
     }
     if (port.checksumSeen && rec != nullptr && !crc_ok)
-        counters_.add("checksumFailures");
+        ++counters_[NiCounter::checksumFailures];
 
     bool duplicate = false;
     if (ok && port.round == 0) {
@@ -891,13 +786,13 @@ NetworkInterface::handleTurnAtReceiver(RecvPort &port, Cycle cycle)
         duplicate = it != lastDeliveredSeq_.end() &&
                     rec->sequence <= it->second;
         if (duplicate) {
-            counters_.add("duplicateArrivals");
+            ++counters_[NiCounter::duplicateArrivals];
         } else {
             lastDeliveredSeq_[rec->src] = rec->sequence;
             if (rec->deliverCycle == kNever)
                 rec->deliverCycle = cycle;
             ++rec->deliveredCount;
-            ++*cDeliveries_;
+            ++counters_[NiCounter::deliveries];
             if (observer_ != nullptr)
                 observer_->onDelivery(port.msgId, id_, cycle);
             if (deliveryHandler_)
@@ -938,7 +833,7 @@ NetworkInterface::handleTurnAtReceiver(RecvPort &port, Cycle cycle)
         ck.msgId = port.msgId;
         port.replyQueue.push_back(ck);
         turn_back = sr.continueSession;
-        counters_.add("sessionRoundsServed");
+        ++counters_[NiCounter::sessionRoundsServed];
     } else if (ok && rec->requestReply && rec->sessionRounds.empty()) {
         ReplySpec spec;
         if (replyHandler_)
@@ -976,10 +871,10 @@ NetworkInterface::processReceivedSymbol(RecvPort &port,
         // Router status words of a reversal transient (they reach
         // the receiving end after the source turns the connection
         // forward again mid-session).
-        counters_.add("statusAtReceiver");
+        ++counters_[NiCounter::statusAtReceiver];
         break;
       case SymbolKind::Data:
-        ++*mDelivered_;
+        ++share_.words[Words::delivered];
         port.words.push_back(sym.value);
         for (unsigned k = 0; k < cascade_; ++k)
             port.sliceCrc[k].update(
@@ -995,12 +890,12 @@ NetworkInterface::processReceivedSymbol(RecvPort &port,
         handleTurnAtReceiver(port, cycle);
         break;
       case SymbolKind::Drop:
-        counters_.add("abortedReceives");
+        ++counters_[NiCounter::abortedReceives];
         port.state = RecvState::Idle;
         port.round = 0;
         break;
       default:
-        counters_.add("strayAtReceiver");
+        ++counters_[NiCounter::strayAtReceiver];
         break;
     }
 }
@@ -1016,7 +911,7 @@ NetworkInterface::tickRecv(RecvPort &port, Cycle cycle)
     if (!consistent) {
         // Disagreeing slices: poison the stream so the checksum
         // check fails and the source retries.
-        counters_.add("sliceDisagreement");
+        ++counters_[NiCounter::sliceDisagreement];
         sym = Symbol::data(0, sym.msgId);
     }
     if (sym.occupied())
@@ -1041,7 +936,7 @@ NetworkInterface::tickRecv(RecvPort &port, Cycle cycle)
             port.checksumSeen = false;
             processReceivedSymbol(port, sym, cycle);
         } else if (sym.occupied()) {
-            counters_.add("strayAtReceiver");
+            ++counters_[NiCounter::strayAtReceiver];
         }
         break;
 
@@ -1051,7 +946,7 @@ NetworkInterface::tickRecv(RecvPort &port, Cycle cycle)
         if (port.state == RecvState::Receiving &&
             config_.recvTimeout > 0 && !sym.occupied() &&
             cycle - port.lastActivity > config_.recvTimeout) {
-            counters_.add("recvTimeouts");
+            ++counters_[NiCounter::recvTimeouts];
             port.state = RecvState::Idle;
         }
         break;
@@ -1075,9 +970,9 @@ NetworkInterface::tickRecv(RecvPort &port, Cycle cycle)
             port.lastActivity = cycle;
         }
         if (sym.occupied() && sym.kind != SymbolKind::DataIdle) {
-            counters_.add("strayAtReceiver");
+            ++counters_[NiCounter::strayAtReceiver];
             if (sym.kind == SymbolKind::Data)
-                ++*mDiscardEp_;
+                ++share_.words[Words::discardedEndpoint];
         }
         break;
       }
@@ -1132,19 +1027,17 @@ NetworkInterface::tick(Cycle cycle)
     protocolRead_ = SIZE_MAX;
     tickSend(cycle);
 
-    if (metrics_ != nullptr) {
-        // Word conservation: census the reverse lanes of injection
-        // groups the send logic did not consume this cycle (idle,
-        // backoff, abort, or simply other ports) — Data arriving
-        // there evaporates. peekUp() never touches the fault PRNG,
-        // so the census is invisible to the simulation proper.
-        // Slice 0 stands for the group (one logical word).
-        for (std::size_t g = 0; g < out_.size(); ++g) {
-            if (g == protocolRead_ || out_[g].empty())
-                continue;
-            if (out_[g].front()->peekUp().kind == SymbolKind::Data)
-                ++*mDiscardEp_;
-        }
+    // Word conservation: census the reverse lanes of injection
+    // groups the send logic did not consume this cycle (idle,
+    // backoff, abort, or simply other ports) — Data arriving there
+    // evaporates. peekUp() never touches the fault PRNG, so the
+    // census is invisible to the simulation proper. Slice 0 stands
+    // for the group (one logical word).
+    for (std::size_t g = 0; g < out_.size(); ++g) {
+        if (g == protocolRead_ || out_[g].empty())
+            continue;
+        if (out_[g].front()->peekUp().kind == SymbolKind::Data)
+            ++share_.words[Words::discardedEndpoint];
     }
 }
 

@@ -34,16 +34,16 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/crc.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "diag/diary.hh"
 #include "endpoint/message.hh"
+#include "obs/counters.hh"
 #include "obs/observer.hh"
-#include "obs/registry.hh"
 #include "retry/policy.hh"
 #include "sim/component.hh"
 #include "sim/link.hh"
@@ -135,6 +135,38 @@ struct SessionReply
     /** true: hand the connection back to the source with a TURN
      *  (another round may follow); false: close with Drop. */
     bool continueSession = true;
+};
+
+/** An endpoint's protocol event counters, reported as
+ *  `ni.total.<name>` (sorted: see obs/counters.hh). */
+#define METRO_NI_COUNTERS(X)                                            \
+    X(abortedReceives) X(admissionSheds) X(attempts) X(backoffClamps)   \
+    X(bcbAborts) X(blockedStatuses) X(budgetDenials)                    \
+    X(checksumFailures) X(deliveries) X(duplicateArrivals)              \
+    X(failedAttempts) X(gateDeferrals) X(giveUps) X(nacks)              \
+    X(recvTimeouts) X(replyChecksumFail) X(replyTimeouts) X(retries)    \
+    X(retriesParked) X(roundFailures) X(roundsCompleted)                \
+    X(sessionRoundsServed) X(sessionsSubmitted) X(sliceDisagreement)    \
+    X(starvations) X(statusAtReceiver) X(strayAtReceiver)               \
+    X(strayAtSource) X(submitted) X(successes) X(wrongDestination)
+METRO_COUNTER_TABLE(NiCounter, NiCounterNames, METRO_NI_COUNTERS);
+using NiCounters = CounterBlock<NiCounterNames>;
+
+/** An endpoint's share of the network-wide connection histograms. */
+enum class NiConn : std::uint8_t
+{
+    attempts,
+    giveupLatency,
+    pathLength,
+    setupLatency,
+    turnRoundtrip,
+};
+struct NiConnNames
+{
+    using Id = NiConn;
+    static constexpr std::string_view kNames[] = {
+        "conn.attempts", "conn.giveup_latency", "conn.path_length",
+        "conn.setup_latency", "conn.turn_roundtrip"};
 };
 
 /**
@@ -244,16 +276,24 @@ class NetworkInterface : public Component
     void tick(Cycle cycle) override;
 
     /** Event counters (sends, retries, timeouts, duplicates...). */
-    const CounterSet &counters() const { return counters_; }
+    const NiCounters &counters() const { return counters_; }
 
     /**
-     * Register this endpoint's word-accounting counters and
+     * What this endpoint counts into registry slots it shares with
+     * every other endpoint: its word-accounting counters and its
      * connection histograms (setup latency, TURN round-trip, path
-     * length, attempts) with a central registry (usually the owning
-     * Network's). nullptr detaches; the registry must outlive the
-     * endpoint.
+     * length, attempts, give-up latency). The owning Network moves
+     * it into its registry (Network::syncMetrics).
      */
-    void setMetrics(MetricsRegistry *metrics);
+    struct Share
+    {
+        WordCounters words;
+        HistogramBlock<NiConnNames> conn;
+    };
+
+    /** Hand over the share accumulated since the last call, leaving
+     *  it empty. */
+    Share takeShare() { return std::exchange(share_, {}); }
 
     /**
      * Parallel-safety verdict (see Component): an endpoint tick is
@@ -272,14 +312,6 @@ class NetworkInterface : public Component
                gate_ == nullptr && !replyHandler_ &&
                !sessionHandler_ && !deliveryHandler_;
     }
-
-    /** Redirect the shared registry slots (conservation counters,
-     *  connection histograms) to per-endpoint scratch for parallel
-     *  phase-1 (see Component::setConcurrentMetrics). */
-    void setConcurrentMetrics(bool on) override;
-
-    /** Fold the scratch back into the shared registry slots. */
-    void flushConcurrentMetrics() override;
 
     /** Install a connection-lifecycle observer (attempt/resolution/
      *  delivery milestones); nullptr detaches. */
@@ -482,83 +514,11 @@ class NetworkInterface : public Component
     // --- receive side ---
     std::unordered_map<NodeId, std::uint32_t> lastDeliveredSeq_;
 
-    CounterSet counters_;
+    NiCounters counters_;
+    Share share_;
 
-    /** Interned hot-path counter slots (CounterSet::slot): the
-     *  per-attempt/per-delivery events that fire constantly at
-     *  saturation skip the string + map lookup of add(). @{ */
-    std::uint64_t *cSubmitted_;
-    std::uint64_t *cAttempts_;
-    std::uint64_t *cRetries_;
-    std::uint64_t *cSuccesses_;
-    std::uint64_t *cFailedAttempts_;
-    std::uint64_t *cDeliveries_;
-    std::uint64_t *cBlockedStatuses_;
-    std::uint64_t *cBcbAborts_;
-    /** @} */
-
-    // --- observability (see setMetrics / setObserver) ---
-    // Without a registry the pointers target the scratch slots, so
-    // the word-accounting hot paths stay branch-free.
-    MetricsRegistry *metrics_ = nullptr;
     ConnObserver *observer_ = nullptr;
     FaultDiary *diary_ = nullptr;
-    std::uint64_t scratch_ = 0;
-    LogHistogram scratchHist_;
-    std::uint64_t *mInjected_ = &scratch_;
-    std::uint64_t *mDelivered_ = &scratch_;
-    std::uint64_t *mDiscardEp_ = &scratch_;
-    std::uint64_t *mSubmitted_ = &scratch_;
-    std::uint64_t *mAdmitted_ = &scratch_;
-    std::uint64_t *mShedAdm_ = &scratch_;
-    LogHistogram *hSetup_ = &scratchHist_;
-    LogHistogram *hTurnRt_ = &scratchHist_;
-    LogHistogram *hPathLen_ = &scratchHist_;
-    LogHistogram *hAttempts_ = &scratchHist_;
-    LogHistogram *hGiveUp_ = &scratchHist_;
-
-    /**
-     * Concurrent-metrics mode (see setConcurrentMetrics): the
-     * registry targets of the shared slots above, plus the
-     * per-endpoint scratch the hot pointers swap to while parallel
-     * phase-1 runs (flushed back in registration order by
-     * Engine::syncStats; adds and merges commute, so the folded
-     * values are thread-count invariant). @{
-     */
-    bool concMetrics_ = false;
-    struct SharedSlots
-    {
-        std::uint64_t *injected;
-        std::uint64_t *delivered;
-        std::uint64_t *discardEp;
-        std::uint64_t *submitted;
-        std::uint64_t *admitted;
-        std::uint64_t *shedAdm;
-        LogHistogram *setup;
-        LogHistogram *turnRt;
-        LogHistogram *pathLen;
-        LogHistogram *attempts;
-        LogHistogram *giveUp;
-    };
-    SharedSlots real_{&scratch_,     &scratch_,     &scratch_,
-                      &scratch_,     &scratch_,     &scratch_,
-                      &scratchHist_, &scratchHist_, &scratchHist_,
-                      &scratchHist_, &scratchHist_};
-    std::uint64_t concInjected_ = 0;
-    std::uint64_t concDelivered_ = 0;
-    std::uint64_t concDiscardEp_ = 0;
-    std::uint64_t concSubmitted_ = 0;
-    std::uint64_t concAdmitted_ = 0;
-    std::uint64_t concShedAdm_ = 0;
-    LogHistogram concSetup_;
-    LogHistogram concTurnRt_;
-    LogHistogram concPathLen_;
-    LogHistogram concAttempts_;
-    LogHistogram concGiveUp_;
-    /** Rebind the hot pointers to real_ or the scratch per the
-     *  current mode. */
-    void bindMetricSlots();
-    /** @} */
     /** Cycle the current attempt launched (setup-latency base). */
     Cycle attemptStart_ = 0;
     /** Out-port group whose reverse lane tickSend consumed this

@@ -34,6 +34,7 @@
 #include "network/multibutterfly.hh"
 #include "network/network.hh"
 #include "network/presets.hh"
+#include "obs/counters.hh"
 #include "obs/observer.hh"
 #include "obs/registry.hh"
 #include "obs/tracer.hh"

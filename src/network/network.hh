@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -44,7 +45,9 @@ class Network
         auto id = static_cast<RouterId>(routers_.size());
         routers_.push_back(
             std::make_unique<MetroRouter>(id, params, config, seed));
-        routers_.back()->setMetrics(&metrics_);
+        WordCounters::registerIn(metrics_);
+        occupancy_.push_back(&metrics_.histogram(
+            "router." + std::to_string(id) + ".occupancy"));
         return routers_.back().get();
     }
 
@@ -54,7 +57,8 @@ class Network
         auto id = static_cast<NodeId>(endpoints_.size());
         endpoints_.push_back(std::make_unique<NetworkInterface>(
             id, config, &tracker_, seed));
-        endpoints_.back()->setMetrics(&metrics_);
+        WordCounters::registerIn(metrics_);
+        HistogramBlock<NiConnNames>::registerIn(metrics_);
         return endpoints_.back().get();
     }
 
@@ -196,43 +200,80 @@ class Network
     }
 
     /**
-     * The central metrics registry every router and endpoint of
-     * this network registers into (see obs/registry.hh). Live —
-     * counters keep moving while the engine runs; experiments take
-     * snapshots and diff them.
+     * The central metrics registry (see obs/registry.hh). The slots
+     * routers and endpoints feed (`words.*`, `conn.*`, per-router
+     * occupancy) are current only after syncMetrics(); read
+     * metricsSnapshot() for those.
      */
     MetricsRegistry &metrics() { return metrics_; }
     const MetricsRegistry &metrics() const { return metrics_; }
 
     /**
-     * A value snapshot of the registry with every per-entity
-     * CounterSet folded in as "router.total.<name>" /
+     * Bring the registry up to date: sleeping components catch up
+     * their skipped-cycle samples (Engine::syncStats), so
+     * quiescence scheduling stays invisible, and every router's and
+     * endpoint's share is moved in. Adds and merges commute, so the
+     * result does not depend on the engine's thread count.
+     */
+    void
+    syncMetrics()
+    {
+        engine_.syncStats();
+        NetworkInterface::Share sum;
+        for (std::size_t r = 0; r < routers_.size(); ++r) {
+            const MetroRouter::Share share = routers_[r]->takeShare();
+            sum.words += share.words;
+            occupancy_[r]->merge(share.occupancy);
+        }
+        for (const auto &e : endpoints_) {
+            const NetworkInterface::Share share = e->takeShare();
+            sum.words += share.words;
+            sum.conn += share.conn;
+        }
+        sum.words.addTo(metrics_);
+        sum.conn.addTo(metrics_);
+    }
+
+    /**
+     * A value snapshot of the synced registry (syncMetrics) with the
+     * per-entity event counters folded in as "router.total.<name>" /
      * "ni.total.<name>" network-wide sums, plus the engine's
      * scheduler counters ("engine.ticks_skipped" /
      * "engine.links_fastpathed"), so one blob carries the complete
-     * counter state. Non-const: sleeping components first catch up
-     * their skipped-cycle metrics samples (Engine::syncStats) so
-     * quiescence scheduling stays invisible to every consumer of
-     * the snapshot.
+     * counter state.
      */
     MetricsRegistry
     metricsSnapshot()
     {
-        engine_.syncStats();
+        syncMetrics();
         MetricsRegistry snap = metrics_;
         snap.counter("engine.ticks_skipped") = engine_.ticksSkipped();
         snap.counter("engine.links_fastpathed") =
             engine_.linksFastpathed();
-        for (const auto &r : routers_) {
-            for (const auto &[name, v] : r->counters().all())
-                snap.counter("router.total." + name) += v;
-        }
-        for (const auto &e : endpoints_) {
-            for (const auto &[name, v] : e->counters().all())
-                snap.counter("ni.total." + name) += v;
-        }
+        routerCounters().addTo(snap, "router.total.");
+        endpointCounters().addTo(snap, "ni.total.");
         return snap;
     }
+
+    /** Event counters summed over every router / endpoint. @{ */
+    RouterCounters
+    routerCounters() const
+    {
+        RouterCounters sum;
+        for (const auto &r : routers_)
+            sum += r->counters();
+        return sum;
+    }
+
+    NiCounters
+    endpointCounters() const
+    {
+        NiCounters sum;
+        for (const auto &e : endpoints_)
+            sum += e->counters();
+        return sum;
+    }
+    /** @} */
 
     /**
      * Topology-specific usable-path counting (the structural oracle
@@ -294,6 +335,8 @@ class Network
      *  index into them. */
     LaneArena arena_;
     std::vector<std::unique_ptr<MetroRouter>> routers_;
+    /** Each router's occupancy histogram in metrics_, by id. */
+    std::vector<LogHistogram *> occupancy_;
     std::vector<std::unique_ptr<NetworkInterface>> endpoints_;
     std::vector<std::unique_ptr<Link>> links_;
     std::vector<std::unique_ptr<CascadeGroup>> cascades_;

@@ -6,15 +6,6 @@
 namespace metro
 {
 
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    for (const auto &[name, value] : other.counters_)
-        counters_[name] += value;
-    for (const auto &[name, hist] : other.histograms_)
-        histograms_[name].merge(hist);
-}
-
 MetricsRegistry
 MetricsRegistry::deltaSince(const MetricsRegistry &baseline) const
 {

@@ -1,14 +1,14 @@
 /**
  * @file
  * Central metrics registry: named monotone counters and log-scale
- * histograms shared by routers, network interfaces, probes and the
- * connection tracer.
+ * histograms fed by routers and network interfaces (through the
+ * owning Network; see obs/counters.hh), probes and the connection
+ * tracer.
  *
- * Components register slots by name (dotted lower-case, e.g.
- * "words.injected", "router.3.occupancy") and cache the returned
- * reference/pointer: both maps use node-based containers, so slots
- * stay valid for the registry's lifetime and the hot path is a bare
- * pointer increment.
+ * Slots are registered by name (dotted lower-case, e.g.
+ * "words.injected", "router.3.occupancy") and the returned
+ * reference/pointer may be cached: both maps use node-based
+ * containers, so slots stay valid for the registry's lifetime.
  *
  * Every value is derived purely from simulated events — never from
  * wall-clock time — so metrics are bit-identical across hosts and
@@ -207,9 +207,6 @@ class MetricsRegistry
         return histograms_;
     }
 
-    /** Fold another registry into this one. */
-    void merge(const MetricsRegistry &other);
-
     /**
      * Subtract an earlier snapshot of this registry. Slots absent
      * from the baseline are taken as zero; slots present only in the
@@ -217,19 +214,6 @@ class MetricsRegistry
      * when their delta is zero-valued anyway.
      */
     MetricsRegistry deltaSince(const MetricsRegistry &baseline) const;
-
-    void
-    reset()
-    {
-        counters_.clear();
-        histograms_.clear();
-    }
-
-    bool
-    empty() const
-    {
-        return counters_.empty() && histograms_.empty();
-    }
 
   private:
     std::map<std::string, std::uint64_t> counters_;

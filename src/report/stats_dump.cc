@@ -1,9 +1,10 @@
 #include "report/stats_dump.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 namespace metro
 {
@@ -13,24 +14,15 @@ stageStatsReport(Network &net)
 {
     // Aggregate counters per stage.
     const unsigned stages = net.numStages();
-    std::vector<std::map<std::string, std::uint64_t>> totals(
-        std::max(1u, stages));
-    std::set<std::string> names;
-
-    auto stage_of = [&net, stages](RouterId r) -> unsigned {
-        if (stages == 0)
-            return 0;
-        return net.router(r).stage();
-    };
+    std::vector<RouterCounters> totals(std::max(1u, stages));
     for (RouterId r = 0; r < net.numRouters(); ++r) {
-        const unsigned s = stage_of(r);
-        for (const auto &[name, value] :
-             net.router(r).counters().all()) {
-            totals[std::min<std::size_t>(s, totals.size() - 1)]
-                [name] += value;
-            names.insert(name);
-        }
+        const unsigned s = stages == 0 ? 0 : net.router(r).stage();
+        totals[std::min<std::size_t>(s, totals.size() - 1)] +=
+            net.router(r).counters();
     }
+    RouterCounters all;
+    for (const auto &stage : totals)
+        all += stage;
 
     std::ostringstream out;
     out << "router events by stage\n";
@@ -43,14 +35,15 @@ stageStatsReport(Network &net)
         out << line;
     }
     out << "\n";
-    for (const auto &name : names) {
+    for (std::size_t i = 0; i < RouterCounters::kSize; ++i) {
+        if (all.at(i) == 0)
+            continue;
+        const std::string name(RouterCounters::name(i));
         std::snprintf(line, sizeof(line), "  %-22s", name.c_str());
         out << line;
         for (const auto &stage : totals) {
-            const auto it = stage.find(name);
             std::snprintf(line, sizeof(line), " %12llu",
-                          static_cast<unsigned long long>(
-                              it == stage.end() ? 0 : it->second));
+                          static_cast<unsigned long long>(stage.at(i)));
             out << line;
         }
         out << "\n";
@@ -61,22 +54,17 @@ stageStatsReport(Network &net)
 std::string
 endpointStatsReport(Network &net)
 {
-    std::map<std::string, std::uint64_t> totals;
-    for (NodeId e = 0; e < net.numEndpoints(); ++e) {
-        for (const auto &[name, value] :
-             net.endpoint(e).counters().all())
-            totals[name] += value;
-    }
     std::ostringstream out;
     out << "endpoint protocol events (all " << net.numEndpoints()
         << " endpoints)\n";
     char line[128];
-    for (const auto &[name, value] : totals) {
+    net.endpointCounters().forEachFired([&](std::string_view name,
+                                            std::uint64_t value) {
         std::snprintf(line, sizeof(line), "  %-22s %12llu\n",
-                      name.c_str(),
+                      std::string(name).c_str(),
                       static_cast<unsigned long long>(value));
         out << line;
-    }
+    });
     return out.str();
 }
 

@@ -53,27 +53,6 @@ MetroRouter::MetroRouter(RouterId id, const RouterParams &params,
     pendingScratch_.reserve(nf);
     markSleepable();
     refreshOffPortDrive();
-
-    cBcbForwarded_ = &counters_.slot("bcbForwarded");
-    cReverseDropFwd_ = &counters_.slot("reverseDropFwd");
-    cStrayReverseSymbol_ = &counters_.slot("strayReverseSymbol");
-    cHeaderConsumed_ = &counters_.slot("headerConsumed");
-    cHeaderSwallowed_ = &counters_.slot("headerSwallowed");
-    cWordsForwarded_ = &counters_.slot("wordsForwarded");
-    cTurns_ = &counters_.slot("turns");
-    cDrops_ = &counters_.slot("drops");
-    cStrayForwardSymbol_ = &counters_.slot("strayForwardSymbol");
-    cAbortDrops_ = &counters_.slot("abortDrops");
-    cIdleDiscard_ = &counters_.slot("idleDiscard");
-    cIdleTimeouts_ = &counters_.slot("idleTimeouts");
-    cBlockedDiscard_ = &counters_.slot("blockedDiscard");
-    cBlockedReplies_ = &counters_.slot("blockedReplies");
-    cDrainedWords_ = &counters_.slot("drainedWords");
-    cDisabledPortDiscard_ = &counters_.slot("disabledPortDiscard");
-    cRequests_ = &counters_.slot("requests");
-    cGrants_ = &counters_.slot("grants");
-    cBlocks_ = &counters_.slot("blocks");
-    cBcbSent_ = &counters_.slot("bcbSent");
 }
 
 bool
@@ -83,62 +62,6 @@ MetroRouter::randomOutputBit(Cycle cycle) const
     // random inputs — a cascade fed from one member's output must
     // not correlate with any member's input consumption.
     return (randomOutput_.wordForCycle(cycle) & 1) != 0;
-}
-
-void
-MetroRouter::setMetrics(MetricsRegistry *metrics)
-{
-    metrics_ = metrics;
-    if (metrics == nullptr) {
-        realDiscardRouter_ = &scratch_;
-        realDiscardBlock_ = &scratch_;
-        occupancy_ = nullptr;
-    } else {
-        // Word-conservation sinks are network-wide totals;
-        // occupancy is per-router. Slot references stay valid for
-        // the registry's lifetime, so the hot paths are bare
-        // increments.
-        realDiscardRouter_ =
-            &metrics->counter("words.discarded.router");
-        realDiscardBlock_ =
-            &metrics->counter("words.discarded.block");
-        occupancy_ = &metrics->histogram(
-            "router." + std::to_string(id_) + ".occupancy");
-    }
-    // The hot pointers honour the concurrent-metrics mode: the
-    // registry slots are shared across routers, so parallel
-    // phase-1 increments go to per-router scratch instead.
-    mDiscardRouter_ =
-        concMetrics_ ? &concDiscardRouter_ : realDiscardRouter_;
-    mDiscardBlock_ =
-        concMetrics_ ? &concDiscardBlock_ : realDiscardBlock_;
-}
-
-void
-MetroRouter::setConcurrentMetrics(bool on)
-{
-    if (on == concMetrics_)
-        return;
-    concMetrics_ = on;
-    if (!on)
-        flushConcurrentMetrics();
-    mDiscardRouter_ =
-        concMetrics_ ? &concDiscardRouter_ : realDiscardRouter_;
-    mDiscardBlock_ =
-        concMetrics_ ? &concDiscardBlock_ : realDiscardBlock_;
-}
-
-void
-MetroRouter::flushConcurrentMetrics()
-{
-    if (concDiscardRouter_ != 0) {
-        *realDiscardRouter_ += concDiscardRouter_;
-        concDiscardRouter_ = 0;
-    }
-    if (concDiscardBlock_ != 0) {
-        *realDiscardBlock_ += concDiscardBlock_;
-        concDiscardBlock_ = 0;
-    }
 }
 
 void
@@ -260,7 +183,7 @@ void
 MetroRouter::teardownPort(PortIndex p)
 {
     if (fState_[p] != FwdPortState::Idle) {
-        counters_.add("scanTeardown");
+        ++counters_[RouterCounter::scanTeardown];
         freeConnection(p);
     }
 }
@@ -283,7 +206,7 @@ MetroRouter::handleConnectedFwd(PortIndex p, const Symbol &sym,
     bRevRead_[fBwd_[p]] = 1;
     const Symbol rsym = down->headUp();
     if (rsym.kind == SymbolKind::BcbDrop) {
-        ++*cBcbForwarded_;
+        ++counters_[RouterCounter::bcbForwarded];
         fLastActivity_[p] = cycle;
         // Releasing the crosspoint makes the downstream channel go
         // undriven; the draining router below sees its stream end.
@@ -297,23 +220,23 @@ MetroRouter::handleConnectedFwd(PortIndex p, const Symbol &sym,
                                           fMsgId_[p]));
         fState_[p] = FwdPortState::Draining;
         if (sym.kind == SymbolKind::Data)
-            ++*mDiscardRouter_;
+            ++share_.words[Words::discardedRouter];
         return;
     }
     if (rsym.kind == SymbolKind::Drop) {
         // Downstream cleanup (e.g. idle timeout there): release and
         // inform upstream.
-        ++*cReverseDropFwd_;
+        ++counters_[RouterCounter::reverseDropFwd];
         fLink_[p]->pushUp(rsym);
         freeConnection(p);
         if (sym.kind == SymbolKind::Data)
-            ++*mDiscardRouter_;
+            ++share_.words[Words::discardedRouter];
         return;
     }
     if (rsym.occupied()) {
-        ++*cStrayReverseSymbol_;
+        ++counters_[RouterCounter::strayReverseSymbol];
         if (rsym.kind == SymbolKind::Data)
-            ++*mDiscardRouter_;
+            ++share_.words[Words::discardedRouter];
     }
 
     if (sym.occupied())
@@ -325,10 +248,10 @@ MetroRouter::handleConnectedFwd(PortIndex p, const Symbol &sym,
       case SymbolKind::Header:
         if (fConsumeLeft_[p] > 0) {
             --fConsumeLeft_[p];
-            ++*cHeaderConsumed_;
+            ++counters_[RouterCounter::headerConsumed];
         } else if (!fFirstHeaderDone_[p] && fSwallowFirst_[p]) {
             fFirstHeaderDone_[p] = 1;
-            ++*cHeaderSwallowed_;
+            ++counters_[RouterCounter::headerSwallowed];
         } else {
             fFirstHeaderDone_[p] = 1;
             forwardHeader(p, sym);
@@ -345,12 +268,12 @@ MetroRouter::handleConnectedFwd(PortIndex p, const Symbol &sym,
             // Pipelined connection setup consumes words blindly
             // from the stream head.
             --fConsumeLeft_[p];
-            ++*cHeaderConsumed_;
+            ++counters_[RouterCounter::headerConsumed];
             if (sym.kind == SymbolKind::Data)
-                ++*mDiscardRouter_;
+                ++share_.words[Words::discardedRouter];
         } else {
             down->pushDown(sym);
-            ++*cWordsForwarded_;
+            ++counters_[RouterCounter::wordsForwarded];
         }
         break;
       case SymbolKind::Turn:
@@ -358,17 +281,17 @@ MetroRouter::handleConnectedFwd(PortIndex p, const Symbol &sym,
         // newly-reversed stream, and flip direction.
         down->pushDown(sym);
         pushStatusUp(p, false);
-        ++*cTurns_;
+        ++counters_[RouterCounter::turns];
         fState_[p] = FwdPortState::ConnectedRev;
         break;
       case SymbolKind::Drop:
         down->pushDown(sym);
         freeConnection(p);
-        ++*cDrops_;
+        ++counters_[RouterCounter::drops];
         break;
       case SymbolKind::Status:
       case SymbolKind::BcbDrop:
-        ++*cStrayForwardSymbol_;
+        ++counters_[RouterCounter::strayForwardSymbol];
         break;
     }
 }
@@ -386,7 +309,7 @@ MetroRouter::handleConnectedRev(PortIndex p, const Symbol &sym,
     // side. Honour the abort: free this segment and pass the Drop
     // on so the rest of the path unwinds too.
     if (sym.kind == SymbolKind::Drop) {
-        ++*cAbortDrops_;
+        ++counters_[RouterCounter::abortDrops];
         down->pushDown(sym);
         freeConnection(p);
         return;
@@ -395,9 +318,9 @@ MetroRouter::handleConnectedRev(PortIndex p, const Symbol &sym,
         // Anything else is in-flight debris of a dead attempt;
         // discard without refreshing the idle clock so a half-dead
         // connection still times out.
-        ++*cStrayForwardSymbol_;
+        ++counters_[RouterCounter::strayForwardSymbol];
         if (sym.kind == SymbolKind::Data)
-            ++*mDiscardRouter_;
+            ++share_.words[Words::discardedRouter];
     }
 
     bRevRead_[fBwd_[p]] = 1;
@@ -414,7 +337,7 @@ MetroRouter::handleConnectedRev(PortIndex p, const Symbol &sym,
       case SymbolKind::Data:
         fCrc_[p].update(rsym.value, params_.width);
         up->pushUp(rsym);
-        ++*cWordsForwarded_;
+        ++counters_[RouterCounter::wordsForwarded];
         break;
       case SymbolKind::DataIdle:
       case SymbolKind::Checksum:
@@ -425,26 +348,26 @@ MetroRouter::handleConnectedRev(PortIndex p, const Symbol &sym,
         up->pushUp(rsym);
         if (rsym.kind != SymbolKind::DataIdle &&
             rsym.kind != SymbolKind::Status)
-            ++*cWordsForwarded_;
+            ++counters_[RouterCounter::wordsForwarded];
         break;
       case SymbolKind::Turn:
         // Turn back toward the forward direction: forward the TURN
         // upstream, inject our status toward the new downstream.
         up->pushUp(rsym);
         pushStatusDown(p, false);
-        ++*cTurns_;
+        ++counters_[RouterCounter::turns];
         fState_[p] = FwdPortState::ConnectedFwd;
         break;
       case SymbolKind::Drop:
         up->pushUp(rsym);
         freeConnection(p);
-        ++*cDrops_;
+        ++counters_[RouterCounter::drops];
         break;
       case SymbolKind::BcbDrop:
         // A connection can block downstream after we reversed only
         // in exotic race conditions; reclaim identically (see the
         // ConnectedFwd case for the Drop-down rationale).
-        ++*cBcbForwarded_;
+        ++counters_[RouterCounter::bcbForwarded];
         down->pushDown(Symbol::control(SymbolKind::Drop, fMsgId_[p]));
         bBusy_[fBwd_[p]] = 0;
         bOwner_[fBwd_[p]] = kInvalidPort;
@@ -484,9 +407,9 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
         if (sym.kind == SymbolKind::Test) {
             fLastTest_[p] = sym;
         } else if (sym.occupied()) {
-            ++*cDisabledPortDiscard_;
+            ++counters_[RouterCounter::disabledPortDiscard];
             if (sym.kind == SymbolKind::Data)
-                ++*mDiscardRouter_;
+                ++share_.words[Words::discardedRouter];
         }
         return;
     }
@@ -495,7 +418,7 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
     if (config_.idleTimeout > 0 && fState_[p] != FwdPortState::Idle &&
         !sym.occupied() &&
         cycle - fLastActivity_[p] > config_.idleTimeout) {
-        ++*cIdleTimeouts_;
+        ++counters_[RouterCounter::idleTimeouts];
         const auto drop =
             Symbol::control(SymbolKind::Drop, fMsgId_[p]);
         switch (fState_[p]) {
@@ -527,9 +450,9 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
         } else if (sym.occupied()) {
             // In-flight remains of a fast-reclaimed stream, or a
             // close marker racing a teardown: discard.
-            ++*cIdleDiscard_;
+            ++counters_[RouterCounter::idleDiscard];
             if (sym.kind == SymbolKind::Data)
-                ++*mDiscardRouter_;
+                ++share_.words[Words::discardedRouter];
         }
         break;
 
@@ -547,22 +470,22 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
         switch (sym.kind) {
           case SymbolKind::Data:
             fCrc_[p].update(sym.value, params_.width);
-            ++*cBlockedDiscard_;
-            ++*mDiscardBlock_;
+            ++counters_[RouterCounter::blockedDiscard];
+            ++share_.words[Words::discardedBlock];
             break;
           case SymbolKind::Turn:
             // Detailed reply: status (with blocked flag and the
             // checksum of everything received) then teardown.
             pushStatusUp(p, true);
             fState_[p] = FwdPortState::BlockedDrop;
-            ++*cBlockedReplies_;
+            ++counters_[RouterCounter::blockedReplies];
             break;
           case SymbolKind::Drop:
             freeConnection(p);
             break;
           default:
             if (sym.occupied())
-                ++*cBlockedDiscard_;
+                ++counters_[RouterCounter::blockedDiscard];
             break;
         }
         break;
@@ -571,7 +494,7 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
         // The incoming symbol this cycle (already read) is not
         // processed; account a Data word so conservation holds.
         if (sym.kind == SymbolKind::Data)
-            ++*mDiscardBlock_;
+            ++share_.words[Words::discardedBlock];
         fLink_[p]->pushUp(Symbol::control(SymbolKind::Drop,
                                           fMsgId_[p]));
         freeConnection(p);
@@ -582,9 +505,9 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
             freeConnection(p);
         } else if (sym.occupied()) {
             fLastActivity_[p] = cycle;
-            ++*cDrainedWords_;
+            ++counters_[RouterCounter::drainedWords];
             if (sym.kind == SymbolKind::Data)
-                ++*mDiscardRouter_;
+                ++share_.words[Words::discardedRouter];
         }
         break;
     }
@@ -610,10 +533,10 @@ MetroRouter::runAllocation(Cycle cycle)
         const auto &req = pendingScratch_[k];
         const auto &grant = lastGrants_[k];
         const PortIndex p = req.fwd;
-        ++*cRequests_;
+        ++counters_[RouterCounter::requests];
 
         if (grant.granted()) {
-            ++*cGrants_;
+            ++counters_[RouterCounter::grants];
             if (observer_ != nullptr)
                 observer_->onGrant(id_, stage_, req.header.msgId,
                                    cycle);
@@ -637,7 +560,7 @@ MetroRouter::runAllocation(Cycle cycle)
                 fConsumeLeft_[p] = params_.headerWords - 1;
                 fFirstHeaderDone_[p] = 1;
                 fSwallowFirst_[p] = 0;
-                ++*cHeaderConsumed_;
+                ++counters_[RouterCounter::headerConsumed];
             } else {
                 fConsumeLeft_[p] = 0;
                 fFirstHeaderDone_[p] = 0;
@@ -651,14 +574,14 @@ MetroRouter::runAllocation(Cycle cycle)
                 // Route the first header word right now.
                 if (fSwallowFirst_[p]) {
                     fFirstHeaderDone_[p] = 1;
-                    ++*cHeaderSwallowed_;
+                    ++counters_[RouterCounter::headerSwallowed];
                 } else {
                     fFirstHeaderDone_[p] = 1;
                     forwardHeader(p, req.header);
                 }
             }
         } else {
-            ++*cBlocks_;
+            ++counters_[RouterCounter::blocks];
             if (observer_ != nullptr)
                 observer_->onBlock(id_, stage_, req.header.msgId,
                                    cycle);
@@ -669,7 +592,7 @@ MetroRouter::runAllocation(Cycle cycle)
                 // Fast path reclamation: immediately propagate the
                 // backward control bit; resources here are never
                 // held.
-                ++*cBcbSent_;
+                ++counters_[RouterCounter::bcbSent];
                 fLink_[p]->pushUp(Symbol::control(SymbolKind::BcbDrop,
                                                   fMsgId_[p]));
                 fState_[p] = FwdPortState::Draining;
@@ -686,21 +609,17 @@ MetroRouter::tick(Cycle cycle)
 {
     lastGrants_.clear();
     if (dead_) {
-        if (metrics_ != nullptr) {
-            // A dead router consumes nothing: census the Data
-            // words arriving on its lanes this cycle so the
-            // conservation identity survives router failures.
-            // Kind-only peeks never touch the fault PRNG.
-            for (const auto *l : fLink_) {
-                if (l != nullptr &&
-                    l->peekKindDown() == SymbolKind::Data)
-                    ++*mDiscardRouter_;
-            }
-            for (const auto *l : bLink_) {
-                if (l != nullptr &&
-                    l->peekKindUp() == SymbolKind::Data)
-                    ++*mDiscardRouter_;
-            }
+        // A dead router consumes nothing: census the Data words
+        // arriving on its lanes this cycle so the conservation
+        // identity survives router failures. Kind-only peeks never
+        // touch the fault PRNG.
+        for (const auto *l : fLink_) {
+            if (l != nullptr && l->peekKindDown() == SymbolKind::Data)
+                ++share_.words[Words::discardedRouter];
+        }
+        for (const auto *l : bLink_) {
+            if (l != nullptr && l->peekKindUp() == SymbolKind::Data)
+                ++share_.words[Words::discardedRouter];
         }
         return;
     }
@@ -723,23 +642,21 @@ MetroRouter::tick(Cycle cycle)
 
     runAllocation(cycle);
 
-    if (metrics_ != nullptr) {
-        // Word conservation: census the reverse lanes no connection
-        // handler consumed this cycle (freed, never-owned, or
-        // just-granted ports) — Data arriving there evaporates.
-        // peekUp() never touches the fault PRNG, so the census is
-        // invisible to the simulation proper.
-        unsigned busyPorts = 0;
-        for (std::size_t b = 0; b < bLink_.size(); ++b) {
-            if (bBusy_[b])
-                ++busyPorts;
-            if (bLink_[b] != nullptr && !bRevRead_[b] &&
-                bLink_[b]->peekKindUp() == SymbolKind::Data) {
-                ++*mDiscardRouter_;
-            }
+    // Word conservation: census the reverse lanes no connection
+    // handler consumed this cycle (freed, never-owned, or
+    // just-granted ports) — Data arriving there evaporates. peekUp()
+    // never touches the fault PRNG, so the census is invisible to
+    // the simulation proper.
+    unsigned busyPorts = 0;
+    for (std::size_t b = 0; b < bLink_.size(); ++b) {
+        if (bBusy_[b])
+            ++busyPorts;
+        if (bLink_[b] != nullptr && !bRevRead_[b] &&
+            bLink_[b]->peekKindUp() == SymbolKind::Data) {
+            ++share_.words[Words::discardedRouter];
         }
-        occupancy_->sample(busyPorts);
     }
+    share_.occupancy.sample(busyPorts);
 
     // Off Port Drive Output (Table 2): disabled backward ports with
     // drive enabled hold the wire at DATA-IDLE. Armed only while
@@ -860,8 +777,8 @@ MetroRouter::syncSkipped(Cycle from, Cycle upto)
     // backward-port count every cycle; a dead one samples nothing.
     // Catch up in one batch so the per-router occupancy histogram
     // is bit-identical with the scheduler on and off.
-    if (metrics_ != nullptr && !dead_ && upto > from)
-        occupancy_->sample(0, upto - from);
+    if (!dead_ && upto > from)
+        share_.occupancy.sample(0, upto - from);
 }
 
 bool
@@ -900,7 +817,7 @@ MetroRouter::releaseBackward(PortIndex b)
 {
     METRO_ASSERT(b < bLink_.size(), "backward port %u out of range", b);
     if (bBusy_[b]) {
-        counters_.add("cascadeShutdown");
+        ++counters_[RouterCounter::cascadeShutdown];
         freeConnection(bOwner_[b]);
     }
 }
@@ -910,7 +827,7 @@ MetroRouter::shutdownAllConnections()
 {
     for (PortIndex p = 0; p < fLink_.size(); ++p) {
         if (fState_[p] != FwdPortState::Idle) {
-            counters_.add("cascadeShutdown");
+            ++counters_[RouterCounter::cascadeShutdown];
             freeConnection(p);
         }
     }

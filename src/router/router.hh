@@ -46,14 +46,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/crc.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
+#include "obs/counters.hh"
 #include "obs/observer.hh"
-#include "obs/registry.hh"
 #include "router/allocator.hh"
 #include "router/config.hh"
 #include "router/params.hh"
@@ -82,6 +82,20 @@ enum class FwdPortState : std::uint8_t
 
 /** Human-readable forward-port state name. */
 const char *fwdPortStateName(FwdPortState state);
+
+/** A router's event counters, reported as `router.total.<name>`
+ *  (sorted: see obs/counters.hh). */
+#define METRO_ROUTER_COUNTERS(X)                                        \
+    X(abortDrops) X(bcbForwarded) X(bcbSent) X(blockedDiscard)          \
+    X(blockedReplies) X(blocks) X(cascadeShutdown)                      \
+    X(disabledPortDiscard) X(drainedWords) X(drops) X(grants)           \
+    X(headerConsumed) X(headerSwallowed) X(idleDiscard)                 \
+    X(idleTimeouts) X(requests) X(reverseDropFwd) X(scanTeardown)       \
+    X(strayForwardSymbol) X(strayReverseSymbol) X(turns)                \
+    X(wordsForwarded)
+METRO_COUNTER_TABLE(RouterCounter, RouterCounterNames,
+                    METRO_ROUTER_COUNTERS);
+using RouterCounters = CounterBlock<RouterCounterNames>;
 
 /**
  * One METRO routing component.
@@ -186,14 +200,6 @@ class MetroRouter : public Component
     }
     /** @} */
 
-    /**
-     * Register this router's shared word-accounting counters and
-     * its per-router port-occupancy histogram with a central
-     * registry (usually the owning Network's). Passing nullptr
-     * detaches. The registry must outlive the router.
-     */
-    void setMetrics(MetricsRegistry *metrics);
-
     /** Install a connection-lifecycle observer (grant/block
      *  milestones); nullptr detaches. An observed router leaves the
      *  sharded engine's parallel section (the observer is shared
@@ -233,20 +239,27 @@ class MetroRouter : public Component
                             1);
     }
 
-    /** Redirect the shared conservation counters (router/block
-     *  discards) to per-router scratch for parallel phase-1 (see
-     *  Component::setConcurrentMetrics). */
-    void setConcurrentMetrics(bool on) override;
+    /**
+     * What this router counts into registry slots that are not its
+     * alone: its share of the network-wide word-conservation
+     * discards, and its occupancy histogram. The owning Network
+     * moves it into its registry (Network::syncMetrics).
+     */
+    struct Share
+    {
+        WordCounters words;
+        LogHistogram occupancy;
+    };
 
-    /** Fold the scratch back into the shared registry slots. */
-    void flushConcurrentMetrics() override;
+    /** Hand over the share accumulated since the last call, leaving
+     *  it empty. */
+    Share takeShare() { return std::exchange(share_, {}); }
 
     /** Introspection for tests and monitors. @{ */
     FwdPortState forwardState(PortIndex p) const;
     bool backwardBusy(PortIndex p) const;
     PortIndex connectedBackward(PortIndex fwd) const;
-    const CounterSet &counters() const { return counters_; }
-    CounterSet &counters() { return counters_; }
+    const RouterCounters &counters() const { return counters_; }
     /** True when no port holds any connection state. */
     bool quiescent() const;
     /** Last Test symbol observed on a disabled forward port. */
@@ -378,58 +391,14 @@ class MetroRouter : public Component
     bool offPortDriveArmed_ = false;
 
     std::vector<AllocGrant> lastGrants_;
-    CounterSet counters_;
+    RouterCounters counters_;
 
-    /** Interned hot-path counter slots (CounterSet::slot): bare
-     *  increments instead of per-event string + map lookup. @{ */
-    std::uint64_t *cBcbForwarded_;
-    std::uint64_t *cReverseDropFwd_;
-    std::uint64_t *cStrayReverseSymbol_;
-    std::uint64_t *cHeaderConsumed_;
-    std::uint64_t *cHeaderSwallowed_;
-    std::uint64_t *cWordsForwarded_;
-    std::uint64_t *cTurns_;
-    std::uint64_t *cDrops_;
-    std::uint64_t *cStrayForwardSymbol_;
-    std::uint64_t *cAbortDrops_;
-    std::uint64_t *cIdleDiscard_;
-    std::uint64_t *cIdleTimeouts_;
-    std::uint64_t *cBlockedDiscard_;
-    std::uint64_t *cBlockedReplies_;
-    std::uint64_t *cDrainedWords_;
-    std::uint64_t *cDisabledPortDiscard_;
-    std::uint64_t *cRequests_;
-    std::uint64_t *cGrants_;
-    std::uint64_t *cBlocks_;
-    std::uint64_t *cBcbSent_;
-    /** @} */
-
-    // Observability: cached registry slots (see setMetrics). When no
-    // registry is attached the pointers target scratch_, keeping the
-    // hot paths branch-free.
-    MetricsRegistry *metrics_ = nullptr;
+    Share share_;
     ConnObserver *observer_ = nullptr;
-    std::uint64_t scratch_ = 0;
-    std::uint64_t *mDiscardRouter_ = &scratch_;
-    std::uint64_t *mDiscardBlock_ = &scratch_;
-    LogHistogram *occupancy_ = nullptr;
 
     /** Replaced random source may be cascade-shared (pins the
      *  router to the serial section; see setRandomSource). */
     bool sharedRandom_ = false;
-
-    /**
-     * Concurrent-metrics mode (see setConcurrentMetrics): the
-     * registry targets of the two shared conservation counters,
-     * and the per-router scratch the hot pointers are swapped to
-     * while parallel phase-1 runs. @{
-     */
-    bool concMetrics_ = false;
-    std::uint64_t *realDiscardRouter_ = &scratch_;
-    std::uint64_t *realDiscardBlock_ = &scratch_;
-    std::uint64_t concDiscardRouter_ = 0;
-    std::uint64_t concDiscardBlock_ = 0;
-    /** @} */
 };
 
 } // namespace metro

@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -190,23 +193,29 @@ class CheckpointIO
         ar.u64(h.sum_);
     }
 
-    /** The counters that ever fired; restore zeroes the rest (the
-     *  interned slot pointers stay valid). */
-    template <class Ar, class C>
+    /** The counters that ever fired, by name; restore zeroes the
+     *  rest and rejects a name the block's table does not have. */
+    template <class Ar, class B>
     static void
-    counterSet(Ar &ar, C &c)
+    counterBlock(Ar &ar, B &b)
     {
-        auto fired = c.all();
+        using Block = std::remove_const_t<B>;
+        std::map<std::string, std::uint64_t> fired;
+        b.forEachFired([&](std::string_view name, std::uint64_t v) {
+            fired.emplace(name, v);
+        });
         ar.entries(fired, 16, [](auto &ar, auto &name, auto &value) {
             ar.str(name);
+            ar.check([&] { return Block::indexOf(name) < Block::kSize; },
+                     "unknown counter name");
             ar.u64(value);
         });
         if constexpr (Ar::kLoading) {
             if (!ar.ok())
                 return;
-            c.reset();
+            b = {};
             for (const auto &[name, value] : fired)
-                c.slot(name) = value;
+                b.at(Block::indexOf(name)) = value;
         }
     }
 
@@ -312,7 +321,7 @@ class CheckpointIO
             ar.flag(rt.bRevRead_[b]);
         }
         ar.u8(rt.offPortDriveArmed_);
-        counterSet(ar, rt.counters_);
+        counterBlock(ar, rt.counters_);
         if constexpr (Ar::kLoading) {
             // Derived per-tick state: the availability snapshot must
             // be refilled from the restored config/busy flags, and
@@ -419,7 +428,7 @@ class CheckpointIO
             ar.u32(port.round);
         }
 
-        counterSet(ar, ni.counters_);
+        counterBlock(ar, ni.counters_);
     }
 
     /** The message ledger, in id order. */
@@ -643,13 +652,13 @@ CheckpointIO::walk(Ar &ar, std::uint64_t digest,
     Network &live = *parts.net;
     auto &net = side<Ar>(live);
     auto &eng = side<Ar>(live.engine_);
-    // Saving: flush concurrent metric scratch and catch up sleepers'
-    // metric samples, so every counter and histogram holds the value
-    // the uninterrupted run's window snapshot sees and no per-tick
-    // scratch is live. Restoring: flush pre-restore scratch into the
-    // registry the checkpoint then overwrites, so none is flushed
-    // later.
-    live.engine_.syncStats();
+    // Saving: catch up sleepers' metric samples and move every
+    // router's and endpoint's share into the registry, so every
+    // counter and histogram holds the value the uninterrupted run's
+    // window snapshot sees and no share is live. Restoring: move
+    // pre-restore shares into the registry the checkpoint then
+    // overwrites, so none is folded later.
+    live.syncMetrics();
 
     std::uint32_t magic = kCheckpointMagic;
     std::uint32_t version = kCheckpointVersion;

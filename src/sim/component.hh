@@ -147,27 +147,6 @@ class Component
 
     static constexpr std::uint32_t kNiTickCost = 4;
 
-    /**
-     * Concurrent-metrics mode (sharded engine only). On: the
-     * component must redirect every metric slot it shares with
-     * other components (registry counters/histograms several
-     * components resolve to the same node) into private scratch,
-     * so parallel phase-1 ticks never write a shared location.
-     * Off: restore direct writes, flushing any scratch first.
-     * Per-component-exclusive slots are unaffected. Default: no
-     * shared slots, nothing to do.
-     */
-    virtual void setConcurrentMetrics(bool on) { (void)on; }
-
-    /**
-     * Fold this component's metric scratch into the shared slots
-     * (fixed engine-driven order; counter adds and histogram merges
-     * commute, so the folded totals are thread-count invariant).
-     * Called by Engine::syncStats() before every snapshot and on
-     * mode changes/removal. Must leave the scratch empty.
-     */
-    virtual void flushConcurrentMetrics() {}
-
     /** Diagnostic name. */
     const std::string &name() const { return name_; }
 

@@ -77,12 +77,10 @@
  * one applied mid-phase, since mid-cycle wakes always resume at
  * now+1 and count the cycle skipped) and the skipped-tick /
  * sleep-candidate tallies (per-shard accumulation, folded in shard
- * order; sums and histogram merges commute, so every engine counter
- * and metric is thread-count invariant). Shared metric slots are
- * redirected to per-component scratch for the duration
- * (Component::setConcurrentMetrics) and folded back in registration
- * order by syncStats(). Phase 2 reuses the same pool over
- * contiguous, even-aligned lane ranges of the arena
+ * order; sums commute, so every engine counter is thread-count
+ * invariant). A component's own counters need no channel: it writes
+ * only its own state. Phase 2 reuses the same pool over contiguous,
+ * even-aligned lane ranges of the arena
  * (LaneArena::advanceRange) with per-chunk census charges and
  * drained-lane reports folded at the barrier in chunk order —
  * ascending lane order, identical to the serial pass. Quiescence
@@ -185,8 +183,6 @@ class Engine : public Scheduler
         component->schedAsleep_ = false;
         component->wakeAt_ = 0;
         component->shard_ = Component::kNoShard;
-        if (threads_ > 1)
-            component->setConcurrentMetrics(true);
         components_.push_back(component);
         // Extend the current homogeneous run or open a new one.
         appendSlice(runs_, component->batchTickFn(),
@@ -242,10 +238,9 @@ class Engine : public Scheduler
      * in), so e.g. occupancy histograms match an eagerly-ticked
      * instance removed at the same moment; its wake state is reset
      * so re-registration with any engine starts clean. Under the
-     * sharded engine a victim also folds back its metric scratch
-     * and leaves concurrent-metrics mode, and the shard plan is
-     * rebuilt before the next parallel cycle (stale shards are
-     * never ticked — removal mid-campaign is safe).
+     * sharded engine the shard plan is rebuilt before the next
+     * parallel cycle (stale shards are never ticked — removal
+     * mid-campaign is safe).
      */
     void
     removeComponents(std::span<Component *const> victims)
@@ -260,8 +255,6 @@ class Engine : public Scheduler
                 return false;
             if (c->schedAsleep_ && upto > c->sleptFrom_)
                 c->syncSkipped(c->sleptFrom_, upto);
-            if (threads_ > 1)
-                c->setConcurrentMetrics(false);
             c->sched_ = nullptr;
             c->schedAsleep_ = false;
             c->wakeAt_ = 0;
@@ -366,18 +359,9 @@ class Engine : public Scheduler
         }
         if (n == threads_)
             return;
-        const bool wasParallel = threads_ > 1;
         threads_ = n;
-        const bool nowParallel = threads_ > 1;
         planDirty_ = true;
-        if (wasParallel != nowParallel) {
-            // Entering parallel execution redirects shared metric
-            // slots to per-component scratch; leaving it folds the
-            // scratch back and restores direct writes.
-            for (Component *c : components_)
-                c->setConcurrentMetrics(nowParallel);
-        }
-        pool_.resize(nowParallel ? threads_ - 1 : 0);
+        pool_.resize(threads_ - 1);
     }
 
     /** Current worker count (1 = serial). */
@@ -518,10 +502,7 @@ class Engine : public Scheduler
      * Bring every sleeper's skipped-cycle accounting (per-tick
      * metrics samples) up to date *without* waking anyone — called
      * before metric snapshots so skipping stays invisible to the
-     * observability layer. Under the sharded engine this also folds
-     * every component's metric scratch back into the shared slots,
-     * in registration order (counter adds and histogram merges
-     * commute, so the folded values are thread-count invariant).
+     * observability layer.
      */
     void
     syncStats()
@@ -531,10 +512,6 @@ class Engine : public Scheduler
                 c->syncSkipped(c->sleptFrom_, now_);
                 c->sleptFrom_ = now_;
             }
-        }
-        if (threads_ > 1) {
-            for (auto *c : components_)
-                c->flushConcurrentMetrics();
         }
     }
 

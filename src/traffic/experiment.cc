@@ -15,48 +15,6 @@ namespace metro
 namespace
 {
 
-/**
- * Cumulative router/NI counters at experiment start. Entity
- * counters are never reset (probes and health reports read them
- * across a network's whole lifetime), so per-experiment totals are
- * computed as deltas against this snapshot.
- */
-struct CounterBaseline
-{
-    CounterSet routers;
-    CounterSet nis;
-};
-
-CounterBaseline
-snapshotCounters(Network &net)
-{
-    CounterBaseline base;
-    for (RouterId r = 0; r < net.numRouters(); ++r) {
-        for (const auto &[name, value] :
-             net.router(r).counters().all())
-            base.routers.add(name, value);
-    }
-    for (NodeId e = 0; e < net.numEndpoints(); ++e) {
-        for (const auto &[name, value] :
-             net.endpoint(e).counters().all())
-            base.nis.add(name, value);
-    }
-    return base;
-}
-
-/** Collect this run's counter deltas into the result totals. */
-void
-gatherTotals(Network &net, const CounterBaseline &base,
-             ExperimentResult &result)
-{
-    const CounterBaseline now = snapshotCounters(net);
-    for (const auto &[name, value] : now.routers.all())
-        result.routerTotals.add(name,
-                                value - base.routers.get(name));
-    for (const auto &[name, value] : now.nis.all())
-        result.niTotals.add(name, value - base.nis.get(name));
-}
-
 template <typename DriverT, typename MakeDriver>
 ExperimentResult
 runExperiment(Network &net, const ExperimentConfig &config,
@@ -86,7 +44,8 @@ runExperiment(Network &net, const ExperimentConfig &config,
     // and the cumulative entity counters so a previous experiment
     // on this network is invisible to this one's accounting.
     const std::uint64_t first_id = net.tracker().nextId();
-    const CounterBaseline baseline = snapshotCounters(net);
+    const RouterCounters routers_base = net.routerCounters();
+    const NiCounters nis_base = net.endpointCounters();
     const MetricsRegistry metrics_base = net.metricsSnapshot();
 
     const auto active = static_cast<unsigned>(
@@ -294,7 +253,8 @@ runExperiment(Network &net, const ExperimentConfig &config,
                        : static_cast<double>(alive) /
                              static_cast<double>(n_windows);
 
-    gatherTotals(net, baseline, result);
+    result.routerTotals = net.routerCounters() - routers_base;
+    result.niTotals = net.endpointCounters() - nis_base;
     result.metrics = net.metricsSnapshot().deltaSince(metrics_base);
     result.metrics.counter("words.inflight_at_drain") =
         net.inFlightDataWords();

@@ -183,10 +183,10 @@ struct ExperimentResult
 
     /** Router-event totals over this experiment (deltas against
      *  the counter values at experiment start). */
-    CounterSet routerTotals;
+    RouterCounters routerTotals;
 
     /** Endpoint-event totals over this experiment (deltas). */
-    CounterSet niTotals;
+    NiCounters niTotals;
 
     /**
      * Per-run delta of the network's MetricsRegistry (word

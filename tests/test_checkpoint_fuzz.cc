@@ -329,5 +329,37 @@ TEST(CheckpointCorpus, RejectsMaskWhoseKeyAndIdDisagree)
     EXPECT_EQ(target.restore(bytes, digestOf(opts)), "");
 }
 
+/**
+ * A footer-valid file that names a router or endpoint counter the
+ * entity's counter table does not have must be rejected: restoring
+ * it would invent a counter every later snapshot reports.
+ */
+TEST(CheckpointCorpus, RejectsUnknownCounterName)
+{
+    const char *name = "valid_fig1_serve.ckpt";
+    const auto bytes = slurp(corpusDir() / name);
+    ASSERT_FALSE(bytes.empty());
+    const Options opts = seedOptions(name);
+    // Counter entries are a u64 name length, the name, and a u64
+    // value; rename the first router and the first endpoint entry
+    // in place (same length, so every offset stays put).
+    for (const std::string from : {"requests", "attempts"}) {
+        SCOPED_TRACE(from);
+        std::vector<std::uint8_t> entry(8, 0);
+        entry[0] = static_cast<std::uint8_t>(from.size());
+        entry.insert(entry.end(), from.begin(), from.end());
+        auto hostile = bytes;
+        const auto at = std::search(hostile.begin(), hostile.end(),
+                                    entry.begin(), entry.end());
+        ASSERT_NE(at, hostile.end()) << "the seed never counted it";
+        *(at + static_cast<std::ptrdiff_t>(entry.size()) - 1) = 'z';
+        Target target(opts);
+        EXPECT_EQ(target.restore(reblessed(hostile), digestOf(opts)),
+                  "unknown counter name");
+    }
+    Target target(opts);
+    EXPECT_EQ(target.restore(bytes, digestOf(opts)), "");
+}
+
 } // namespace
 } // namespace metro

@@ -1,16 +1,24 @@
 /**
  * @file
  * Unit tests for the common substrate: PRNG determinism and
- * statistical sanity, CRC behaviour, statistics containers, bit
- * utilities.
+ * statistical sanity, CRC behaviour, statistics containers, the
+ * router and endpoint counter blocks, bit utilities.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/crc.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
+#include "endpoint/interface.hh"
+#include "router/router.hh"
 
 namespace metro
 {
@@ -210,17 +218,62 @@ TEST(Histogram, SamplingAfterPercentileQuery)
     EXPECT_EQ(h.count(), 3u);
 }
 
-TEST(CounterSet, Basics)
+/** `Names` lists `size` names, sorted and unique, and each name
+ *  reads back its own counter. */
+template <class Names>
+void
+expectSortedUniqueAndResolvable(std::size_t size)
 {
-    CounterSet c;
-    EXPECT_EQ(c.get("x"), 0u);
-    c.add("x");
-    c.add("x", 4);
-    c.add("y", 2);
-    EXPECT_EQ(c.get("x"), 5u);
-    EXPECT_EQ(c.get("y"), 2u);
-    c.reset();
-    EXPECT_EQ(c.get("x"), 0u);
+    using Block = CounterBlock<Names>;
+    const std::vector<std::string> names(std::begin(Names::kNames),
+                                         std::end(Names::kNames));
+    EXPECT_EQ(names.size(), size);
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    EXPECT_EQ(std::adjacent_find(names.begin(), names.end()),
+              names.end());
+    Block block;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(Block::indexOf(names[i]), i) << names[i];
+        block.at(i) = 100 + i;
+    }
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(block.get(names[i]), 100 + i) << names[i];
+    EXPECT_EQ(Block::indexOf("noSuchCounter"), Block::kSize);
+    EXPECT_EQ(Block::indexOf(""), Block::kSize);
+}
+
+TEST(CounterBlock, NameTablesAreSortedUniqueAndResolveByName)
+{
+    expectSortedUniqueAndResolvable<RouterCounterNames>(22);
+    expectSortedUniqueAndResolvable<NiCounterNames>(31);
+    expectSortedUniqueAndResolvable<WordNames>(8);
+    expectSortedUniqueAndResolvable<NiConnNames>(5);
+    // Enumerators index the table entry of the same name.
+    EXPECT_EQ(RouterCounters::name(static_cast<std::size_t>(
+                  RouterCounter::requests)),
+              "requests");
+    EXPECT_EQ(NiCounters::name(static_cast<std::size_t>(
+                  NiCounter::wrongDestination)),
+              "wrongDestination");
+}
+
+TEST(CounterBlock, FiresInNameOrderAndSubtracts)
+{
+    RouterCounters now;
+    ++now[RouterCounter::turns];
+    now[RouterCounter::abortDrops] += 3;
+    RouterCounters base;
+    ++base[RouterCounter::abortDrops];
+    std::vector<std::pair<std::string, std::uint64_t>> fired;
+    (now - base).forEachFired([&](std::string_view name, std::uint64_t v) {
+        fired.emplace_back(name, v);
+    });
+    const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+        {"abortDrops", 2}, {"turns", 1}};
+    EXPECT_EQ(fired, expected);
+    now += base;
+    EXPECT_EQ(now.get("abortDrops"), 4u);
+    EXPECT_EQ(now.get("blocks"), 0u);
 }
 
 } // namespace

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/options.hh"
@@ -312,6 +314,71 @@ TEST(Config, DigestBytesOfTheCorpusCheckpointConfig)
               "retry.retryBudgetCap=~\nretry.sendQueueLimit=~\n"
               "retry.inflightLimit=~\nretry.ageClamp=~\n"
               "retry.ageStarve=~\nwindow=1024\n");
+}
+
+/**
+ * A fault file's scheduled events must name links, routers and ports
+ * the network has: one that does not is a config error (exit 2), not
+ * a panic when the injector fires or — for an id wider than 32 bits —
+ * a silent strike on a different link.
+ */
+TEST(Config, FaultTargetsAreCheckedAgainstTheNetwork)
+{
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("metro_fault_range_" +
+                       std::to_string(::testing::UnitTest::GetInstance()
+                                          ->random_seed()) +
+                       ".fault");
+    const auto parseWith = [&](const std::string &line,
+                               std::string &error) {
+        std::ofstream(path) << line << "\n";
+        return parseArgs({"--topology=fig3", "--fault-file=" +
+                                                 path.string()},
+                         error);
+    };
+    std::string error;
+    const auto valid = parseWith("fault = 10 linkDead 0", error);
+    ASSERT_TRUE(valid.has_value()) << error;
+    const auto net = valid->config.network.build();
+    const auto links = std::to_string(net->numLinks());
+    const auto routers = std::to_string(net->numRouters());
+    const auto fwd = std::to_string(net->router(0).params().numForward);
+    const auto bwd = std::to_string(net->router(0).params().numBackward);
+
+    const std::string accepted[] = {
+        "fault = 10 linkDead " + std::to_string(net->numLinks() - 1),
+        "fault = 10 routerDead " + std::to_string(net->numRouters() - 1),
+        "fault = 10 forwardPortOff 0 " +
+            std::to_string(net->router(0).params().numForward - 1),
+    };
+    for (const auto &line : accepted) {
+        SCOPED_TRACE(line);
+        error.clear();
+        EXPECT_TRUE(parseWith(line, error).has_value()) << error;
+    }
+
+    const std::pair<std::string, std::string> rejected[] = {
+        {"fault = 10 linkDead 100000", "link 100000 out of range"},
+        {"fault = 10 linkHeal " + links, "link " + links + " out of range"},
+        {"fault = 10 routerDead 5000", "router 5000 out of range"},
+        {"fault = 10 routerMisroute " + routers,
+         "router " + routers + " out of range"},
+        {"fault = 10 forwardPortOff 0 " + fwd,
+         "forward port " + fwd + " out of range"},
+        {"fault = 10 backwardPortOff 0 " + bwd,
+         "backward port " + bwd + " out of range"},
+        {"fault = 10 backwardPortOff 5000 0", "router 5000 out of range"},
+        {"fault = 10 linkDead 4294967296", "fault target out of range"},
+        {"fault = 10 forwardPortOff 0 4294967296",
+         "fault target out of range"},
+    };
+    for (const auto &[line, reason] : rejected) {
+        SCOPED_TRACE(line);
+        error.clear();
+        EXPECT_FALSE(parseWith(line, error).has_value());
+        EXPECT_NE(error.find(reason), std::string::npos) << error;
+    }
+    std::filesystem::remove(path);
 }
 
 } // namespace

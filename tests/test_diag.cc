@@ -370,7 +370,7 @@ TEST(RecvWatchdog, HalfOpenIncomingStreamResetsPort)
     // ledger: the words the watchdog threw away were counted as
     // delivered wire words when they arrived.
     net->engine().run(8000);
-    const auto &m = net->metrics();
+    const auto m = net->metricsSnapshot();
     EXPECT_EQ(m.get("words.injected"),
               m.get("words.delivered") +
                   m.get("words.discarded.block") +

@@ -205,23 +205,35 @@ TEST(Quiescence, RemoveWhileAsleepSyncsSkippedTail)
 {
     auto net = buildMultibutterfly(fig1Spec(5));
     net->engine().run(300); // idle network: every router sleeps
-    auto &hist = net->metrics().histogram("router.0.occupancy");
-    // Asleep, so the per-tick zero-occupancy samples lag behind.
-    ASSERT_LT(hist.count(), net->engine().now());
+    // Routers sample into their own share; a snapshot moves it into
+    // the registry after catching up registered sleepers.
+    const auto samples = [&] {
+        return net->metricsSnapshot()
+            .findHistogram("router.0.occupancy")
+            ->count();
+    };
+    ASSERT_EQ(samples(), net->engine().now());
+    // Still asleep — every component skips every cycle — so router
+    // 0's samples lag again.
+    const std::uint64_t skipped = net->engine().ticksSkipped();
+    net->engine().run(100);
+    ASSERT_EQ(net->engine().ticksSkipped() - skipped,
+              100 * (net->numRouters() + net->numCascadeGroups() +
+                     net->numEndpoints()));
 
-    // Removing the sleeper must account the skipped tail first —
-    // an eagerly-ticked quiescent router removed at the same moment
+    // Removing the sleeper must account the skipped tail first (a
+    // snapshot only catches up registered sleepers) — an
+    // eagerly-ticked quiescent router removed at the same moment
     // would have sampled zero occupancy every cycle.
     Component *victim = &net->router(0);
     net->engine().removeComponents({&victim, 1});
-    EXPECT_EQ(hist.count(), net->engine().now());
+    EXPECT_EQ(samples(), net->engine().now());
 
     // And reset the wake state: re-registration starts clean — the
     // router ticks, re-sleeps, and stays exactly accountable.
     net->engine().addComponent(&net->router(0));
     net->engine().run(50);
-    net->metricsSnapshot(); // syncStats catches up current sleepers
-    EXPECT_EQ(hist.count(), net->engine().now());
+    EXPECT_EQ(samples(), net->engine().now()); // syncStats catches up
 }
 
 TEST(Quiescence, RemoveLinksBatchedStopsAdvancing)

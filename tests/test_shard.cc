@@ -27,12 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "fault/campaign.hh"
 #include "fault/injector.hh"
 #include "network/fattree.hh"
 #include "network/multibutterfly.hh"
 #include "network/presets.hh"
 #include "report/csv.hh"
 #include "report/json.hh"
+#include "report/stats_dump.hh"
 #include "sweep/sweep.hh"
 #include "trace/probe.hh"
 #include "traffic/drivers.hh"
@@ -423,6 +425,82 @@ TEST(Shard, RemoveRouterMidCampaignStaysByteIdentical)
         EXPECT_EQ(serial.ledger, parallel.ledger);
         EXPECT_EQ(serial.metrics, parallel.metrics);
     }
+}
+
+/** What a thread-switch run leaves behind, at each phase's end. */
+struct SwitchOutcome
+{
+    std::vector<std::string> metrics; ///< snapshot JSON per phase
+    std::string stages;               ///< --stats router/endpoint report
+    std::string ledger;
+};
+
+/**
+ * fig3 under saturating closed-loop request-reply traffic and a
+ * stochastic fault campaign (link and router churn, corruption,
+ * flaky links), run in phases of `phase_cycles`, switching the
+ * engine to `threads[k]` at the start of phase k.
+ */
+SwitchOutcome
+runThreadSwitchScenario(const std::vector<unsigned> &threads)
+{
+    auto net = buildMultibutterfly(fig3Spec(0x5EED));
+    CampaignConfig campaign;
+    campaign.linkFailRate = 0.002;
+    campaign.linkHealRate = 0.01;
+    campaign.routerFailRate = 0.0005;
+    campaign.routerHealRate = 0.005;
+    campaign.corruptFraction = 0.25;
+    campaign.flakyLinks = 2;
+    campaign.flakyPeriod = 256;
+    campaign.start = 200;
+    FaultCampaign faults(net.get(), campaign, 0xCA3);
+    net->engine().addComponent(&faults);
+
+    const auto n = static_cast<unsigned>(net->numEndpoints());
+    const DestinationGenerator dests(TrafficPattern::UniformRandom, n,
+                                     0x77);
+    DriverConfig dcfg;
+    dcfg.messageWords = 8;
+    dcfg.requestReply = true;
+    std::vector<std::unique_ptr<ClosedLoopDriver>> drivers;
+    for (NodeId e = 0; e < n; ++e) {
+        drivers.push_back(std::make_unique<ClosedLoopDriver>(
+            &net->endpoint(e), &dests, dcfg, /*think_time=*/0, e + 1));
+        net->engine().addComponent(drivers.back().get());
+    }
+
+    SwitchOutcome out;
+    for (const unsigned t : threads) {
+        net->engine().setThreads(t);
+        net->engine().run(1500);
+        out.metrics.push_back(metricsJson(net->metricsSnapshot()));
+    }
+    out.stages = stageStatsReport(*net) + endpointStatsReport(*net);
+    out.ledger = ledgerDump(*net);
+    return out;
+}
+
+/**
+ * Switching the engine between serial and sharded execution mid-run
+ * leaves no trace: routers and endpoints count into their own
+ * blocks at every thread count, so nothing is redirected or flushed
+ * at a switch, and every phase's snapshot, the stage report and the
+ * ledger equal an uninterrupted serial run's.
+ */
+TEST(EngineThreadSwitch, OneFourOneMidRunMatchesSerialRun)
+{
+    const SwitchOutcome serial = runThreadSwitchScenario({1, 1, 1});
+    const SwitchOutcome switched = runThreadSwitchScenario({1, 4, 1});
+    ASSERT_EQ(serial.metrics.size(), switched.metrics.size());
+    for (std::size_t k = 0; k < serial.metrics.size(); ++k) {
+        SCOPED_TRACE("phase " + std::to_string(k));
+        EXPECT_EQ(serial.metrics[k], switched.metrics[k]);
+    }
+    EXPECT_NE(serial.metrics.back().find("\"campaign.link_failures\""),
+              std::string::npos);
+    EXPECT_EQ(serial.stages, switched.stages);
+    EXPECT_EQ(serial.ledger, switched.ledger);
 }
 
 TEST(Shard, SweepReportsInvariantUnderEngineThreads)
