@@ -1,6 +1,7 @@
 #include "app/knob.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,11 +29,11 @@ trimText(const std::string &s)
 bool
 parseU64(const std::string &s, std::uint64_t &out)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
+    // from_chars takes no sign, blank or base prefix for an unsigned
+    // type, and reports overflow instead of wrapping.
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 bool

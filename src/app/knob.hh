@@ -42,7 +42,7 @@
 namespace metro
 {
 
-/** Decimal unsigned integer, whole string. */
+/** Decimal digits only, whole string, within 64 bits. */
 bool parseU64(const std::string &s, std::uint64_t &out);
 
 /** Floating-point number, whole string. */

@@ -416,6 +416,22 @@ parseOptions(int argc, const char *const *argv, std::string &error)
     // parser-grade message rather than a mid-build assertion.
     if (!expandPoints(opts.config, error).has_value())
         return std::nullopt;
+    // Like a fault target, a drained router must exist: the drain
+    // would otherwise fail an assertion when its window comes.
+    if (!opts.maintain.empty()) {
+        const auto routers = opts.config.network.build()->numRouters();
+        for (const auto &text : opts.maintain) {
+            MaintenanceOp op;
+            parseMaintenanceOp(text, op);
+            if (op.router >= routers) {
+                error = "bad value for --maintain: " + text + " (router " +
+                        std::to_string(op.router) +
+                        " out of range (the network has " +
+                        std::to_string(routers) + " routers))";
+                return std::nullopt;
+            }
+        }
+    }
     const std::pair<bool, const char *> conflicts[] = {
         {opts.serve && opts.config.mode == SweepMode::Session,
          "--serve does not support --mode=session yet (session drivers "

@@ -23,6 +23,34 @@
 namespace metro
 {
 
+/** SplitMix64's increment: 2^64 divided by the golden ratio. */
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+/** SplitMix64's output finalizer (Steele, Lea & Flood): a
+ *  bijective 64-bit mix. */
+constexpr std::uint64_t
+splitmixFinalize(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/** One SplitMix64 output from state `x`. */
+constexpr std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    return splitmixFinalize(x + kSplitMixGamma);
+}
+
+/** The seed of sub-stream `salt` of `base` (per-entity and wiring
+ *  seeds of the network builders). */
+constexpr std::uint64_t
+subSeed(std::uint64_t base, std::uint64_t salt)
+{
+    return splitmixFinalize(base ^ (salt * kSplitMixGamma));
+}
+
 /**
  * Xoshiro256** generator (Blackman & Vigna). Small, fast, and good
  * enough statistically for simulation workloads; chosen over
@@ -45,11 +73,8 @@ class Xoshiro256
         // SplitMix64 to fill the state; avoids the all-zero state.
         std::uint64_t x = seed;
         for (auto &s : state_) {
-            x += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            s = z ^ (z >> 31);
+            s = splitmix64(x);
+            x += kSplitMixGamma;
         }
     }
 

@@ -29,15 +29,6 @@ clustersAt(const FatTreeSpec &spec, unsigned level)
     return spec.numEndpoints() >> level;
 }
 
-std::uint64_t
-subSeed(std::uint64_t base, std::uint64_t salt)
-{
-    std::uint64_t z = base ^ (salt * 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 /** A dangling wire awaiting a cluster forward port. */
 struct Wire
 {

@@ -160,15 +160,6 @@ struct Wire
     unsigned classId;
 };
 
-std::uint64_t
-subSeed(std::uint64_t base, std::uint64_t salt)
-{
-    std::uint64_t z = base ^ (salt * 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 /**
  * Deal the wires of one destination class onto that class's routers.
  *

@@ -120,13 +120,11 @@ class Network
             engine_.addComponent(c.get());
         for (auto &e : endpoints_)
             engine_.addComponent(e.get());
-        for (auto &l : links_) {
-            // Wire deaths destroy in-flight words; charge them to
-            // a conservation bin (see the identity in docs).
-            l->setWireDiscardCounter(
-                &metrics_.counter("words.discarded.wire"));
+        // Wire deaths destroy in-flight words; the arena counts them
+        // for this conservation bin (see the identity in docs).
+        metrics_.counter("words.discarded.wire");
+        for (auto &l : links_)
             engine_.addLink(l.get());
-        }
         finalized_ = true;
     }
     /** @} */
@@ -212,13 +210,16 @@ class Network
      * Bring the registry up to date: sleeping components catch up
      * their skipped-cycle samples (Engine::syncStats), so
      * quiescence scheduling stays invisible, and every router's and
-     * endpoint's share is moved in. Adds and merges commute, so the
-     * result does not depend on the engine's thread count.
+     * endpoint's share, plus the lane arena's wire discards, is
+     * moved in. Adds and merges commute, so the result does not
+     * depend on the engine's thread count.
      */
     void
     syncMetrics()
     {
         engine_.syncStats();
+        metrics_.counter("words.discarded.wire") +=
+            arena_.takeWireDiscards();
         NetworkInterface::Share sum;
         for (std::size_t r = 0; r < routers_.size(); ++r) {
             const MetroRouter::Share share = routers_[r]->takeShare();

@@ -58,8 +58,6 @@ emitEngineProfile(std::ostringstream &out, const EngineProfile &p)
         << "        \"advanceSeconds\": " << secs(p.advanceNs)
         << ",\n"
         << "        \"sleepPassSeconds\": " << secs(p.sleepPassNs)
-        << ",\n"
-        << "        \"serialLoopSeconds\": " << secs(p.serialLoopNs)
         << "\n      }";
 }
 

@@ -1,13 +1,14 @@
 #include "serve/service.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include <unistd.h>
 
+#include "app/knob.hh"
 #include "endpoint/interface.hh"
 #include "network/network.hh"
+#include "report/json.hh"
 #include "router/tap.hh"
 #include "serve/stateio.hh"
 #include "sim/engine.hh"
@@ -18,41 +19,6 @@ namespace metro
 
 namespace
 {
-
-/** Minimal JSON string escaping (counter names are identifiers, but
- *  stay robust anyway). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 const char *
 phaseName(std::uint8_t phase)
@@ -81,19 +47,14 @@ parseMaintenanceOp(const std::string &text, MaintenanceOp &op)
     if (at == std::string::npos || plus == std::string::npos ||
         at == 0 || plus <= at + 1 || plus + 1 >= text.size())
         return false;
-    char *end = nullptr;
-    const std::string r = text.substr(0, at);
-    const std::string s = text.substr(at + 1, plus - at - 1);
-    const std::string d = text.substr(plus + 1);
-    op.router =
-        static_cast<RouterId>(std::strtoull(r.c_str(), &end, 10));
-    if (end == nullptr || *end != '\0')
+    std::uint64_t router = 0;
+    if (!parseU64(text.substr(0, at), router) ||
+        router > std::numeric_limits<RouterId>::max() ||
+        !parseU64(text.substr(at + 1, plus - at - 1), op.start) ||
+        !parseU64(text.substr(plus + 1), op.duration))
         return false;
-    op.start = std::strtoull(s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    op.duration = std::strtoull(d.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
+    op.router = static_cast<RouterId>(router);
+    return true;
 }
 
 std::string
@@ -347,8 +308,7 @@ ServiceRunner::windowJson(Cycle now, const MetricsRegistry &delta,
         if (!first)
             out += ",";
         first = false;
-        out += "\"" + jsonEscape(name) +
-               "\":" + std::to_string(value);
+        out += jsonQuote(name) + ":" + std::to_string(value);
     }
     out += "}";
     // This window's histogram deltas (occupied buckets only) — the
@@ -360,8 +320,7 @@ ServiceRunner::windowJson(Cycle now, const MetricsRegistry &delta,
             continue;
         out += firstHist ? ",\"hist\":{" : ",";
         firstHist = false;
-        out += "\"" + jsonEscape(name) +
-               "\":{\"n\":" + std::to_string(h.count()) +
+        out += jsonQuote(name) + ":{\"n\":" + std::to_string(h.count()) +
                ",\"sum\":" + std::to_string(h.sum()) + ",\"b\":[";
         bool firstBucket = true;
         for (unsigned k = 0; k < LogHistogram::kBuckets; ++k) {

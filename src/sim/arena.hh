@@ -40,6 +40,7 @@
 #define METRO_SIM_ARENA_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -176,7 +177,7 @@ class LaneArena
     /**
      * advanceAll over the lane sub-range [begin, end) only, with
      * the wire-discard charges routed into `discards` instead of
-     * the arena-wide counter. This is the sharded engine's phase-2
+     * the arena's own count. This is the sharded engine's phase-2
      * unit: disjoint ranges touch disjoint per-lane state, so
      * chunks advance concurrently, each accumulating its census
      * charges privately for a fixed-order fold at the barrier.
@@ -184,7 +185,7 @@ class LaneArena
     void
     advanceRange(LaneId begin, LaneId end,
                  std::vector<LaneId> *drained,
-                 std::uint64_t *discards)
+                 std::uint64_t &discards)
     {
         for (LaneId lane = begin; lane < end; ++lane) {
             const std::uint8_t f = flags_[lane];
@@ -302,17 +303,18 @@ class LaneArena
         censusStepTo(lane, wireDiscards_);
     }
 
-    /** Where to charge Data words destroyed by a link death
-     *  ("words.discarded.wire"; wired by Network::finalize). */
-    void
-    setWireDiscardCounter(std::uint64_t *counter)
-    {
-        wireDiscards_ = counter;
-    }
+    /** Add census charges made outside the arena (the sharded
+     *  engine folds its per-chunk counts in at the barrier). */
+    void chargeWireDiscards(std::uint64_t n) { wireDiscards_ += n; }
 
-    /** The arena-wide wire-discard counter (the sharded engine
-     *  folds per-chunk census charges into it at the barrier). */
-    std::uint64_t *wireDiscardCounter() const { return wireDiscards_; }
+    /** Data words destroyed by link deaths since the last take:
+     *  the arena's share of "words.discarded.wire", which
+     *  Network::syncMetrics moves into the registry. */
+    std::uint64_t
+    takeWireDiscards()
+    {
+        return std::exchange(wireDiscards_, 0);
+    }
     /** @} */
 
     /** Count in-flight symbols of one kind, including a staged
@@ -358,7 +360,7 @@ class LaneArena
     }
 
     void
-    censusStepTo(LaneId lane, std::uint64_t *discards)
+    censusStepTo(LaneId lane, std::uint64_t &discards)
     {
         switch (census(lane)) {
           case LaneCensus::None:
@@ -381,11 +383,10 @@ class LaneArena
     }
 
     void
-    chargeHead(LaneId lane, std::uint64_t *discards)
+    chargeHead(LaneId lane, std::uint64_t &discards)
     {
-        if (discards != nullptr &&
-            slots_[head_[lane]].kind == SymbolKind::Data)
-            ++*discards;
+        if (slots_[head_[lane]].kind == SymbolKind::Data)
+            ++discards;
     }
 
     /** The flat word arena: every lane's slots, back to back. */
@@ -402,7 +403,7 @@ class LaneArena
     /** @} */
 
     std::size_t sleepingLanes_ = 0;
-    std::uint64_t *wireDiscards_ = nullptr;
+    std::uint64_t wireDiscards_ = 0;
 };
 
 } // namespace metro

@@ -18,11 +18,9 @@
  * Dispatch is type-segregated: components registered consecutively
  * with the same concrete class (routers, then endpoints, then
  * drivers — the order builders and experiments naturally produce)
- * form contiguous runs, and phase 1 makes one indirect call per
- * run; inside a run the per-component tick is non-virtual (see
- * Component::batchTickOf). The runs partition the registration
- * list in order, so the global tick order is exactly the
- * registration order, same as a flat virtual loop.
+ * form contiguous slices, and phase 1 makes one indirect call per
+ * slice; inside a slice the per-component tick is non-virtual (see
+ * Component::batchTickOf).
  *
  * Quiescence scheduling (on by default; see docs/simulator.md): the
  * common case at Figure 3's low-to-moderate loads is a router with
@@ -54,9 +52,10 @@
  * impossible since candidates are a superset of the components
  * whose canSleep() input changed.
  *
- * Sharded parallel execution (setThreads(n), n > 1; see
- * docs/simulator.md for the full protocol): phase 1 is split into a
- * parallel section and a serial section. Components whose tick
+ * Sharded execution is the engine's one cycle at every thread count
+ * (setThreads(n); see docs/simulator.md for the full protocol):
+ * phase 1 is split into a parallel section and a serial section.
+ * Components whose tick
  * honours the parallel contract (Component::parallelTickSafe —
  * routers and network interfaces without observers, handlers or
  * shared random sources) are cut into min(n, members) *shards* —
@@ -69,24 +68,28 @@
  * PRNG) ticks in the serial section, in registration order. Phase
  * 1's contract — read lane heads, push lane tails, never observe a
  * same-cycle write — is exactly what makes any tick order
- * (including a concurrent one) equivalent, so the split is
- * byte-identical to the serial loop. The cross-thread side effects
- * a tick can have are funnelled through two deferred, fixed-order
- * channels replayed at the phase barrier: link activations (with
+ * (including a concurrent one) equivalent, so the output is
+ * byte-identical at every thread count. When two or more shards
+ * run, the cross-thread side effects a tick can have are funnelled
+ * through two deferred, fixed-order channels replayed at the phase
+ * barrier: link activations (with
  * their wakes; a wake applied at the barrier is byte-equivalent to
  * one applied mid-phase, since mid-cycle wakes always resume at
  * now+1 and count the cycle skipped) and the skipped-tick /
  * sleep-candidate tallies (per-shard accumulation, folded in shard
  * order; sums commute, so every engine counter is thread-count
  * invariant). A component's own counters need no channel: it writes
- * only its own state. Phase 2 reuses the same pool over contiguous,
+ * only its own state. A lone live shard (always the case at one
+ * thread) runs on the caller with nothing deferred: its wakes apply
+ * inline and its sleep candidates go straight to the sleep pass,
+ * the same result on either side of the barrier. Phase 2 reuses
+ * the same pool over contiguous,
  * even-aligned lane ranges of the arena
  * (LaneArena::advanceRange) with per-chunk census charges and
  * drained-lane reports folded at the barrier in chunk order —
- * ascending lane order, identical to the serial pass. Quiescence
- * composes: a shard all of whose members sleep *parks* — the cycle
- * is accounted in bulk and no work is dispatched for it.
- * setThreads(1) (the default) runs the untouched serial loop.
+ * ascending lane order, identical to one whole-arena pass.
+ * Quiescence composes: a shard all of whose members sleep *parks* —
+ * the cycle is accounted in bulk and no work is dispatched for it.
  *
  * Self-profile (setProfiling(true); off by default, one branch per
  * phase when off): wall-clock time per phase of the sharded cycle —
@@ -152,15 +155,13 @@ struct EngineProfile
     std::uint64_t advanceNs = 0; ///< phase 2 lane advance
     /** finishCycle: pending link verdicts and the sleep pass. */
     std::uint64_t sleepPassNs = 0;
-    /** threads() == 1: the whole serial cycle. */
-    std::uint64_t serialLoopNs = 0;
 
     /** Sum of the sequential parts. */
     std::uint64_t
     wallNs() const
     {
-        std::uint64_t sum = planNs + parallelNs + foldNs + advanceNs +
-                            sleepPassNs + serialLoopNs;
+        std::uint64_t sum =
+            planNs + parallelNs + foldNs + advanceNs + sleepPassNs;
         for (const ClassTime &c : serialNs)
             sum += c.ns;
         return sum;
@@ -184,9 +185,6 @@ class Engine : public Scheduler
         component->wakeAt_ = 0;
         component->shard_ = Component::kNoShard;
         components_.push_back(component);
-        // Extend the current homogeneous run or open a new one.
-        appendSlice(runs_, component->batchTickFn(),
-                    components_.size() - 1);
         planDirty_ = true;
     }
 
@@ -262,7 +260,6 @@ class Engine : public Scheduler
             c->shard_ = Component::kNoShard;
             return true;
         });
-        rebuildRuns();
         planDirty_ = true;
     }
 
@@ -343,8 +340,9 @@ class Engine : public Scheduler
     bool quiescence() const { return quiesce_; }
 
     /**
-     * Set the phase-1/phase-2 worker count (1 = the serial loop,
-     * the default; 0 = one per hardware thread). Simulation output
+     * Set the phase-1/phase-2 worker count (1, the default, ticks
+     * one shard on the caller; 0 = one per hardware thread).
+     * Simulation output
      * is byte-identical at every thread count — threading trades
      * wall clock only, never results (regression:
      * tests/test_shard.cc).
@@ -364,7 +362,7 @@ class Engine : public Scheduler
         pool_.resize(threads_ - 1);
     }
 
-    /** Current worker count (1 = serial). */
+    /** Current worker count. */
     unsigned threads() const { return threads_; }
 
     /**
@@ -393,16 +391,14 @@ class Engine : public Scheduler
     std::uint64_t linksFastpathed() const { return linksFastpathed_; }
 
     /**
-     * Shard-plan introspection (tests, diagnostics). Valid with
-     * threads() > 1; rebuilds a stale plan on entry. @{
+     * Shard-plan introspection (tests, diagnostics); rebuilds a
+     * stale plan on entry. @{
      */
 
-    /** Shards in the current plan (0 when serial). */
+    /** Shards in the current plan: min(threads(), members). */
     std::size_t
     shardCount()
     {
-        if (threads_ <= 1)
-            return 0;
         if (planDirty_)
             rebuildPlan();
         return shards_.size();
@@ -445,7 +441,7 @@ class Engine : public Scheduler
     int
     shardOf(const Component *c)
     {
-        if (threads_ > 1 && planDirty_)
+        if (planDirty_)
             rebuildPlan();
         return c->shard_ == Component::kNoShard
                    ? -1
@@ -515,20 +511,129 @@ class Engine : public Scheduler
         }
     }
 
-    /** Execute exactly one cycle. */
+    /**
+     * Execute exactly one cycle. Structure (see the file comment
+     * for why each hand-off preserves byte identity):
+     *
+     *   1a. parallel shards tick on the pool (parked shards are
+     *       bulk-accounted instead; a lone live shard ticks on the
+     *       caller with nothing deferred);
+     *   1b. barrier: per-shard effects fold in shard order —
+     *       skipped tallies, deferred link activations (wakes),
+     *       sleep candidates;
+     *   1c. serial section: non-parallel-safe components tick in
+     *       registration order, activations inline;
+     *    2. lane advance, chunked across the pool for arenas with
+     *       enough live lanes; census charges and drained reports
+     *       fold at the barrier in chunk order (= ascending lane
+     *       order, a whole-arena pass's order).
+     */
     void
     step()
     {
-        if (threads_ > 1) {
-            stepParallel();
-        } else if (profiling_) {
-            Stopwatch sw(true);
-            stepSerial();
-            sw.lap(profile_.serialLoopNs);
-            ++profile_.cycles;
-        } else {
-            stepSerial();
+        Stopwatch sw(profiling_);
+        if (planDirty_) {
+            rebuildPlan();
+            sw.lap(profile_.planNs);
         }
+        stepping_ = true;
+        if (quiesce_)
+            sleepCandidates_.clear();
+
+        // 1a. Parallel shards, shard k on pool participant k.
+        Shard *only = nullptr;
+        std::size_t live = 0;
+        for (Shard &s : shards_) {
+            s.live = s.awake != 0;
+            if (!s.live) {
+                // Parked: every member sleeps, so the tick pass
+                // would only count skips — account them in bulk.
+                ticksSkipped_ += s.members;
+                ++shardCyclesParked_;
+                continue;
+            }
+            s.skipped = 0;
+            s.candidates.clear();
+            s.activations.clear();
+            only = &s;
+            ++live;
+        }
+        if (live == 1)
+            runShard(*only, /*alone=*/true);
+        else if (live > 1)
+            pool_.run(static_cast<unsigned>(shards_.size()),
+                      &shardTask, this);
+        sw.lap(profile_.parallelNs);
+
+        // 1b. Barrier: fold per-shard effects in shard order.
+        for (std::size_t k = 0; k < shards_.size(); ++k) {
+            Shard &s = shards_[k];
+            if (!s.live)
+                continue;
+            ticksSkipped_ += s.skipped;
+            for (Link *l : s.activations)
+                l->activate();
+            if (quiesce_)
+                sleepCandidates_.insert(sleepCandidates_.end(),
+                                        s.candidates.begin(),
+                                        s.candidates.end());
+            if (profiling_)
+                profile_.shardNs[k] += s.busyNs;
+        }
+        sw.lap(profile_.foldNs);
+
+        // 1c. Serial section, registration order.
+        {
+            TickContext ctx;
+            ctx.cycle = now_;
+            if (quiesce_)
+                ctx.sleepCandidates = &sleepCandidates_;
+            Component *const *base = components_.data();
+            for (std::size_t i = 0; i < serialRuns_.size(); ++i) {
+                const TickRun &run = serialRuns_[i];
+                run.fn(base + run.begin, run.count, ctx);
+                if (profiling_)
+                    sw.lap(profile_.serialNs[serialClass_[i]].ns);
+            }
+            ticksSkipped_ += ctx.skipped;
+        }
+
+        // 2. Advance, chunked where worthwhile. Sleeping links'
+        // lanes are skipped inside the pass and accounted here (two
+        // lanes per link). With quiescence on, the lanes whose sleep
+        // eligibility may have changed (newly drained, or drained
+        // with a push/census step this cycle) are sleep-evaluated,
+        // links before components: component canSleep()
+        // implementations require their attached links to be
+        // fast-pathed first, and a deactivation that drops an end
+        // component's last active link surfaces that component as a
+        // sleep candidate.
+        for (ArenaGroup &g : arenaGroups_) {
+            linksFastpathed_ += g.arena->sleepingLanes() / 2;
+            if (g.chunks.size() > 1 &&
+                g.arena->lanes() - g.arena->sleepingLanes() >=
+                    kMinLanesForChunkedAdvance) {
+                curGroup_ = &g;
+                pool_.run(static_cast<unsigned>(g.chunks.size()),
+                          &chunkTask, this);
+                curGroup_ = nullptr;
+                for (LaneChunk &ch : g.chunks) {
+                    g.arena->chargeWireDiscards(ch.discards);
+                    for (const LaneId lane : ch.drained)
+                        trySleepLink(g.laneOwner[lane]);
+                }
+            } else {
+                drained_.clear();
+                g.arena->advanceAll(quiesce_ ? &drained_ : nullptr);
+                for (const LaneId lane : drained_)
+                    trySleepLink(g.laneOwner[lane]);
+            }
+        }
+        sw.lap(profile_.advanceNs);
+        finishCycle();
+        sw.lap(profile_.sleepPassNs);
+        if (profiling_)
+            ++profile_.cycles;
     }
 
     /** Execute `cycles` cycles. */
@@ -557,7 +662,7 @@ class Engine : public Scheduler
   private:
     friend class CheckpointIO;
 
-    /** A registration-order-contiguous run of components sharing
+    /** A registration-order-contiguous slice of components sharing
      *  one batch tick function (one concrete class, or a stretch
      *  of generic-dispatch components). */
     struct TickRun
@@ -625,196 +730,18 @@ class Engine : public Scheduler
         Clock::time_point last_{};
     };
 
-    /** The serial engine's cycle (threads() == 1): the exact
-     *  pre-sharding loop. */
-    void
-    stepSerial()
-    {
-        stepping_ = true;
-        TickContext ctx;
-        ctx.cycle = now_;
-        if (quiesce_) {
-            sleepCandidates_.clear();
-            ctx.sleepCandidates = &sleepCandidates_;
-        }
-        Component *const *base = components_.data();
-        for (const auto &run : runs_)
-            run.fn(base + run.begin, run.count, ctx);
-        ticksSkipped_ += ctx.skipped;
-
-        // Phase 2: one batched pass per arena over the flat lane
-        // arrays (LaneArena::advanceAll); sleeping links' lanes are
-        // skipped inside the pass and accounted here (two lanes per
-        // link). Lane order within an arena is link-creation order,
-        // observationally interchangeable with the registration
-        // order the per-link loop used: lanes only interact through
-        // the components that read and push them in phase 1.
-        if (quiesce_) {
-            // Sleep evaluation folds in, links before components:
-            // component canSleep() implementations require their
-            // attached links to be fast-pathed (drained) first.
-            // advanceAll reports the lanes whose sleep eligibility
-            // may have changed (newly drained, or drained with a
-            // push/census step this cycle) — an untouched drained
-            // lane's verdict cannot differ from last cycle's; a
-            // deactivation that drops an end component's last
-            // active link surfaces that component as a sleep
-            // candidate (it cannot have been collected in phase 1 —
-            // its link was still active then).
-            for (ArenaGroup &g : arenaGroups_) {
-                linksFastpathed_ += g.arena->sleepingLanes() / 2;
-                drained_.clear();
-                g.arena->advanceAll(&drained_);
-                for (const LaneId lane : drained_)
-                    evalDrainedLane(g, lane);
-            }
-        } else {
-            for (ArenaGroup &g : arenaGroups_) {
-                linksFastpathed_ += g.arena->sleepingLanes() / 2;
-                g.arena->advanceAll(nullptr);
-            }
-        }
-        finishCycle();
-    }
-
-    /**
-     * The sharded cycle (threads() > 1). Structure (see the file
-     * comment for why each hand-off preserves byte identity):
-     *
-     *   1a. parallel shards tick on the pool (parked shards are
-     *       bulk-accounted instead);
-     *   1b. barrier: per-shard effects fold in shard order —
-     *       skipped tallies, deferred link activations (wakes),
-     *       sleep candidates;
-     *   1c. serial section: non-parallel-safe components tick in
-     *       registration order, activations inline;
-     *    2. lane advance, chunked across the pool for arenas with
-     *       enough live lanes; census charges and drained reports
-     *       fold at the barrier in chunk order (= ascending lane
-     *       order, the serial pass's order).
-     */
-    void
-    stepParallel()
-    {
-        Stopwatch sw(profiling_);
-        if (planDirty_) {
-            rebuildPlan();
-            sw.lap(profile_.planNs);
-        }
-        stepping_ = true;
-        if (quiesce_)
-            sleepCandidates_.clear();
-
-        // 1a. Parallel shards, shard k on pool participant k.
-        Shard *only = nullptr;
-        std::size_t live = 0;
-        for (Shard &s : shards_) {
-            s.live = s.awake != 0;
-            if (!s.live) {
-                // Parked: every member sleeps, so the tick pass
-                // would only count skips — account them in bulk.
-                ticksSkipped_ += s.members;
-                ++shardCyclesParked_;
-                continue;
-            }
-            s.skipped = 0;
-            s.candidates.clear();
-            s.activations.clear();
-            only = &s;
-            ++live;
-        }
-        if (live == 1)
-            runShard(*only);
-        else if (live > 1)
-            pool_.run(static_cast<unsigned>(shards_.size()),
-                      &shardTask, this);
-        sw.lap(profile_.parallelNs);
-
-        // 1b. Barrier: fold per-shard effects in shard order.
-        for (std::size_t k = 0; k < shards_.size(); ++k) {
-            Shard &s = shards_[k];
-            if (!s.live)
-                continue;
-            ticksSkipped_ += s.skipped;
-            for (Link *l : s.activations)
-                l->activate();
-            if (quiesce_)
-                sleepCandidates_.insert(sleepCandidates_.end(),
-                                        s.candidates.begin(),
-                                        s.candidates.end());
-            if (profiling_)
-                profile_.shardNs[k] += s.busyNs;
-        }
-        sw.lap(profile_.foldNs);
-
-        // 1c. Serial section, registration order.
-        {
-            TickContext ctx;
-            ctx.cycle = now_;
-            if (quiesce_)
-                ctx.sleepCandidates = &sleepCandidates_;
-            Component *const *base = components_.data();
-            for (std::size_t i = 0; i < serialRuns_.size(); ++i) {
-                const TickRun &run = serialRuns_[i];
-                run.fn(base + run.begin, run.count, ctx);
-                if (profiling_)
-                    sw.lap(profile_.serialNs[serialClass_[i]].ns);
-            }
-            ticksSkipped_ += ctx.skipped;
-        }
-
-        // 2. Advance, chunked where worthwhile.
-        for (ArenaGroup &g : arenaGroups_) {
-            linksFastpathed_ += g.arena->sleepingLanes() / 2;
-            if (g.chunks.size() > 1 &&
-                g.arena->lanes() - g.arena->sleepingLanes() >=
-                    kMinLanesForChunkedAdvance) {
-                curGroup_ = &g;
-                pool_.run(static_cast<unsigned>(g.chunks.size()),
-                          &chunkTask, this);
-                curGroup_ = nullptr;
-                std::uint64_t *wire = g.arena->wireDiscardCounter();
-                for (LaneChunk &ch : g.chunks) {
-                    if (wire != nullptr)
-                        *wire += ch.discards;
-                    for (const LaneId lane : ch.drained)
-                        evalDrainedLane(g, lane);
-                }
-            } else {
-                drained_.clear();
-                g.arena->advanceAll(quiesce_ ? &drained_ : nullptr);
-                for (const LaneId lane : drained_)
-                    evalDrainedLane(g, lane);
-            }
-        }
-        sw.lap(profile_.advanceNs);
-        finishCycle();
-        sw.lap(profile_.sleepPassNs);
-        if (profiling_)
-            ++profile_.cycles;
-    }
-
-    /** Shared cycle tail: pending link evaluations, the candidate
-     *  sleep pass (with shard awake accounting), clock advance. */
+    /** Cycle tail: pending link evaluations, the candidate sleep
+     *  pass (with shard awake accounting), clock advance. */
     void
     finishCycle()
     {
+        // Freshly registered links get one explicit verdict (their
+        // lanes may never surface from the advance).
         if (quiesce_) {
-            // Freshly registered links get one explicit verdict
-            // (their lanes may never surface from the advance).
-            if (!pendingLinkEval_.empty()) {
-                for (Link *l : pendingLinkEval_) {
-                    if (l->active() && l->canSleepNow()) {
-                        l->deactivate();
-                        noteQuietEnd(l->wakeA());
-                        noteQuietEnd(l->wakeB());
-                    }
-                }
-                pendingLinkEval_.clear();
-            }
-        } else {
-            pendingLinkEval_.clear();
+            for (Link *l : pendingLinkEval_)
+                trySleepLink(l);
         }
+        pendingLinkEval_.clear();
         stepping_ = false;
         if (quiesce_) {
             for (auto *c : sleepCandidates_) {
@@ -833,16 +760,21 @@ class Engine : public Scheduler
 
     /** Run one shard's slices (worker or caller thread). Effects
      *  that must not race — activations/wakes — are recorded in the
-     *  shard's buffers via the thread-local deferral hook. */
+     *  shard's buffers via the thread-local deferral hook, unless
+     *  the shard runs `alone`: then nothing can race, so wakes
+     *  apply inline and sleep candidates go straight to the sleep
+     *  pass. */
     void
-    runShard(Shard &s)
+    runShard(Shard &s, bool alone)
     {
         Stopwatch sw(profiling_);
         TickContext ctx;
         ctx.cycle = now_;
         if (quiesce_)
-            ctx.sleepCandidates = &s.candidates;
-        detail::tlsDeferredActivations = &s.activations;
+            ctx.sleepCandidates =
+                alone ? &sleepCandidates_ : &s.candidates;
+        if (!alone)
+            detail::tlsDeferredActivations = &s.activations;
         Component *const *base = components_.data();
         for (const TickRun &sl : s.slices)
             sl.fn(base + sl.begin, sl.count, ctx);
@@ -858,7 +790,7 @@ class Engine : public Scheduler
         auto *e = static_cast<Engine *>(ctx);
         Shard &s = e->shards_[k];
         if (s.live)
-            e->runShard(s);
+            e->runShard(s, /*alone=*/false);
     }
 
     static void
@@ -871,15 +803,7 @@ class Engine : public Scheduler
         ch.drained.clear();
         g.arena->advanceRange(ch.begin, ch.end,
                               e->quiesce_ ? &ch.drained : nullptr,
-                              &ch.discards);
-    }
-
-    void
-    rebuildRuns()
-    {
-        runs_.clear();
-        for (std::size_t i = 0; i < components_.size(); ++i)
-            appendSlice(runs_, components_[i]->batchTickFn(), i);
+                              ch.discards);
     }
 
     /**
@@ -1033,12 +957,13 @@ class Engine : public Scheduler
         std::vector<LaneChunk> chunks;
     };
 
-    /** Sleep-evaluate one freshly drained lane's link (phase-2
-     *  fold; identical on the serial and sharded paths). */
+    /** Put a link (a freshly drained lane's owner, or a freshly
+     *  registered link; null for an unregistered lane) to sleep if
+     *  it may; its end components may then become sleep
+     *  candidates. */
     void
-    evalDrainedLane(ArenaGroup &g, LaneId lane)
+    trySleepLink(Link *l)
     {
-        Link *l = g.laneOwner[lane];
         if (l != nullptr && l->active() && l->canSleepNow()) {
             l->deactivate();
             noteQuietEnd(l->wakeA());
@@ -1053,8 +978,6 @@ class Engine : public Scheduler
     {
         g.chunks.clear();
         const auto lanes = static_cast<LaneId>(g.arena->lanes());
-        if (lanes == 0 || threads_ <= 1)
-            return;
         const LaneId pairs = lanes / 2;
         LaneId start = 0;
         for (unsigned k = 0; k < threads_ && start < lanes; ++k) {
@@ -1068,8 +991,6 @@ class Engine : public Scheduler
             g.chunks.push_back({start, end, 0, {}});
             start = end;
         }
-        if (!g.chunks.empty())
-            g.chunks.back().end = lanes;
     }
 
     /** A link just deactivated: its end component is a sleep
@@ -1109,7 +1030,6 @@ class Engine : public Scheduler
     static constexpr std::size_t kMinLanesForChunkedAdvance = 64;
 
     std::vector<Component *> components_;
-    std::vector<TickRun> runs_;
     std::vector<Link *> links_;
     std::vector<ArenaGroup> arenaGroups_;
     std::vector<LaneId> drained_;

@@ -76,14 +76,15 @@ class Link;
 namespace detail
 {
 /**
- * Sharded-engine activation deferral (see engine.hh). During a
- * parallel phase-1 the waking side of Link::activate() — sleeping-
- * lane counters, the far end's active-link count, the scheduler
- * wake — must not run concurrently, so pushes into inactive links
- * record the link here (each worker points this at its shard's
- * private list) and the engine applies the activations in fixed
- * shard order at the phase barrier. Null (the default) means
- * activate inline — the serial engine's exact behaviour.
+ * Sharded-engine activation deferral (see engine.hh). While two or
+ * more shards tick concurrently the waking side of Link::activate()
+ * — sleeping-lane counters, the far end's active-link count, the
+ * scheduler wake — must not run concurrently, so pushes into
+ * inactive links record the link here (each worker points this at
+ * its shard's private list) and the engine applies the activations
+ * in fixed shard order at the phase barrier. Null (the default: a
+ * lone live shard, the serial section, hand-driven links) means
+ * activate inline.
  */
 inline thread_local std::vector<Link *> *tlsDeferredActivations =
     nullptr;
@@ -286,14 +287,6 @@ class Link
             *planDirty_ = true;
     }
 
-    /** Where to charge Data words destroyed by a link death
-     *  ("words.discarded.wire"; wired by Network::finalize). */
-    void
-    setWireDiscardCounter(std::uint64_t *counter)
-    {
-        arena_->setWireDiscardCounter(counter);
-    }
-
     /**
      * Activity protocol (see docs/simulator.md). A link starts
      * active; the engine fast-paths it (skips advance()) once both
@@ -406,9 +399,9 @@ class Link
     friend class CheckpointIO;
 
     /**
-     * Activation on the push path: inline in serial execution,
-     * recorded for the barrier when a worker registered a deferral
-     * list. Deferral is byte-equivalent to the inline wake: a
+     * Activation on the push path: inline by default, recorded
+     * for the barrier when a worker registered a deferral list.
+     * Deferral is byte-equivalent to the inline wake: a
      * mid-cycle wake resumes the sleeper at now+1 and counts the
      * current cycle as skipped whether it is delivered during
      * phase 1 or at the phase barrier (see Engine::wakeComponent),

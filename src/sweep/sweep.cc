@@ -5,22 +5,13 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 
 namespace metro
 {
 
 namespace
 {
-
-/** SplitMix64 finalizer (Steele, Lea & Flood). */
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)

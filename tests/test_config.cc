@@ -17,8 +17,11 @@
 #include <utility>
 #include <vector>
 
+#include "app/faultfile.hh"
 #include "app/options.hh"
+#include "app/specfile.hh"
 #include "serve/checkpoint.hh"
+#include "serve/service.hh"
 
 namespace metro
 {
@@ -379,6 +382,84 @@ TEST(Config, FaultTargetsAreCheckedAgainstTheNetwork)
         EXPECT_NE(error.find(reason), std::string::npos) << error;
     }
     std::filesystem::remove(path);
+}
+
+/**
+ * Integer values are decimal digits within 64 bits, on the command
+ * line and in sweep, spec and fault files alike: a sign must not
+ * wrap a negative value to a huge one (`--warmup=-4294967296` ran
+ * for about 2^64 cycles) and an overflowing value must not saturate.
+ */
+TEST(Config, IntegerValuesAreDecimalDigitsOnly)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(parseU64("0", v));
+    EXPECT_TRUE(parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, 18446744073709551615ULL);
+    for (const char *bad : {"", "-5", "+5", " 5", "5 ", "0x10", "1e3",
+                            "-4294967296", "18446744073709551616"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(parseU64(bad, v));
+    }
+
+    const std::vector<std::string> rejected[] = {
+        {"--topology=fig3", "--warmup=-5", "--measure=200", "--csv"},
+        {"--topology=fig3", "--warmup=-4294967296"},
+        {"--topology=fig3", "--measure=18446744073709551616"},
+        {"--topology=fig3", "--seed=-1"},
+        {"--topology=fig3", "--think=10,-20"},
+    };
+    for (const auto &args : rejected) {
+        SCOPED_TRACE(args[1]);
+        std::string error;
+        EXPECT_FALSE(parseArgs(args, error).has_value());
+        EXPECT_NE(error.find("expected an integer"), std::string::npos)
+            << error;
+    }
+
+    SweepConfig config;
+    std::string error;
+    EXPECT_FALSE(applySweepText("warmup = -5\n", ".", config, error));
+    EXPECT_FALSE(parseSpecText("seed = -1\n", error).has_value());
+    EXPECT_FALSE(
+        parseFaultText("fault = -10 linkDead 0\n", error).has_value());
+}
+
+/**
+ * A `--maintain` router must exist in the built network: an id past
+ * the last router is a config error (exit 2), not an assertion when
+ * the drain starts, and a negative id does not wrap onto a real one.
+ */
+TEST(Config, MaintenanceRoutersAreCheckedAgainstTheNetwork)
+{
+    std::string error;
+    const auto valid = parseArgs({"--topology=fig3"}, error);
+    ASSERT_TRUE(valid.has_value()) << error;
+    const auto routers = valid->config.network.build()->numRouters();
+    const auto last = std::to_string(routers - 1);
+    ASSERT_TRUE(parseArgs({"--topology=fig3", "--serve",
+                           "--maintain=" + last + "@100+100"},
+                          error)
+                    .has_value())
+        << error;
+
+    const std::pair<std::string, std::string> rejected[] = {
+        {"9999@100+100", "router 9999 out of range"},
+        {std::to_string(routers) + "@100+100",
+         "router " + std::to_string(routers) + " out of range"},
+        {"-4294967295@100+100", "expected ROUTER@START+DURATION"},
+        {"4294967297@100+100", "expected ROUTER@START+DURATION"},
+        {"1@-100+100", "expected ROUTER@START+DURATION"},
+    };
+    for (const auto &[op, reason] : rejected) {
+        SCOPED_TRACE(op);
+        error.clear();
+        EXPECT_FALSE(parseArgs({"--topology=fig3", "--serve",
+                                "--maintain=" + op},
+                               error)
+                         .has_value());
+        EXPECT_NE(error.find(reason), std::string::npos) << error;
+    }
 }
 
 } // namespace
