@@ -16,7 +16,13 @@
 # byte-equal diff is a full end-to-end state check.
 #
 # A second leg repeats the check with the diagnosis engine masking
-# a dead injection wire across the cut.
+# a dead injection wire across the cut. Two more run the campaign on
+# saturated fig3 at seeds 28 and 38, whose link churn fails and heals
+# a link within one cycle (once a one-word conservation break).
+#
+# Finally the script checks from outside the process that serve state
+# is O(live): on saturated fig3 the last periodic checkpoint file may
+# be at most 1.1x the size of the first.
 #
 # Usage: ci/soak-smoke.sh [build-dir]   (default: build-ci)
 
@@ -101,5 +107,23 @@ printf 'fault = 0 linkDead 0\n' > "$WORK/inject.fault"
 soak "diagnosis soak" 8192 2048 \
     --topology=fig1 --serve --window=1024 --think=20 --diagnosis \
     --fault-file="$WORK/inject.fault"
+
+for SEED in 28 38; do
+    soak "campaign seed $SEED" 40960 20480 \
+        --topology=fig3 --serve --window=1024 --think=0 --diagnosis \
+        --fault-file="$WORK/campaign.fault" --seed="$SEED"
+done
+
+echo "==> checkpoint size stays flat over 96 windows"
+"$SIM" --topology=fig3 --serve --window=1024 --think=0 \
+    --serve-cycles=98304 --checkpoint-every=8192 --checkpoint-keep=12 \
+    --checkpoint-out="$WORK/flat.ckpt" > /dev/null
+first=$(stat -c %s "$WORK/flat.ckpt.0")
+last=$(stat -c %s "$WORK/flat.ckpt.11")
+echo "    first checkpoint $first B (cycle 8192), last $last B (cycle 98304)"
+if (( last * 10 > first * 11 )); then
+    echo "FAIL: the last checkpoint is more than 1.1x the first"
+    exit 1
+fi
 
 echo "==> serve soak passed"

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <unistd.h>
@@ -35,16 +36,22 @@ makeRunKnobs()
     maintain.name = "maintain";
     maintain.arg = "R@S+D";
     maintain.help = "drain router R at cycle S, keep it disabled D "
-                    "cycles (repeatable)";
+                    "cycles (repeatable, or a comma list)";
     maintain.set = [](O &o, const std::string &value) {
-        MaintenanceOp op;
-        if (!parseMaintenanceOp(value, op))
-            return std::string("expected ROUTER@START+DURATION");
-        o.maintain.push_back(value);
+        const auto ops = splitList(value);
+        for (const auto &text : ops) {
+            MaintenanceOp op;
+            if (!parseMaintenanceOp(text, op))
+                return std::string("expected ROUTER@START+DURATION");
+        }
+        o.maintain.insert(o.maintain.end(), ops.begin(), ops.end());
         return std::string();
     };
     maintain.show = [](const O &o) {
-        return o.maintain.empty() ? std::string() : o.maintain.back();
+        std::string out;
+        for (const auto &m : o.maintain)
+            out += (out.empty() ? "" : ",") + m;
+        return out;
     };
     return {
         boolKnob<O>("csv", METRO_KNOB_FIELD(csv),
@@ -484,80 +491,31 @@ threadsFromArgv(int argc, const char *const *argv, unsigned fallback)
 std::string
 canonicalConfigString(const Options &opts)
 {
-    const SweepConfig &c = opts.config;
-    const NetworkRecipe &net = c.network;
-    const ExperimentConfig &e = c.experiment;
-    std::ostringstream s;
-    s << "topology=" << static_cast<int>(net.kind) << '\n'
-      << "spec=" << net.specPath << '\n'
-      << "mode=" << static_cast<int>(c.mode) << '\n'
-      << "pattern=" << static_cast<int>(e.pattern) << '\n'
-      << "messageWords=" << e.messageWords << '\n'
-      << "seed=" << net.seed << '\n'
-      << "routerFaults=" << net.routerFaults << '\n'
-      << "linkFaults=" << net.linkFaults << '\n'
-      << "faultCycle=" << net.faultCycle << '\n'
-      << "faultFile=" << net.faultPath << '\n'
-      << "diagnosis=" << (net.diagnosis ? 1 : 0) << '\n'
-      << "hotNode=" << e.hotNode << '\n'
-      << "hotFraction=" << e.hotFraction << '\n';
-    if (c.mode == SweepMode::Closed)
-        s << "think=" << c.think[0] << '\n';
-    else if (c.mode == SweepMode::Open)
-        s << "inject=" << c.inject[0] << '\n';
-    else
-        s << "sessionRate=" << c.sessionRate[0] << '\n';
-    // Serve runs the first value of each axis.
-    const InjectionKind process =
-        c.process.empty() ? e.process.kind : c.process[0];
-    s << "process=" << static_cast<int>(process) << '\n'
-      << "burstOn=" << e.process.burstOn << '\n'
-      << "burstOff=" << e.process.burstOff << '\n'
-      << "burstRatio=" << e.process.burstRatio << '\n'
-      << "sizeDist=" << static_cast<int>(e.size.dist) << '\n'
-      << "sizeMin=" << e.size.minWords << '\n'
-      << "sizeMax=" << e.size.maxWords << '\n'
-      << "sizeAlpha=" << e.size.alpha << '\n'
-      << "fanout=" << e.fanout << '\n';
-    s << "classMix=";
-    for (std::size_t k = 0; k < e.classMix.size(); ++k)
-        s << (k ? "," : "") << e.classMix[k];
-    s << '\n'
-      << "sessionRequests=" << e.session.requests << '\n'
-      << "sessionGap=" << e.session.gap << '\n'
-      << "sessionMaxActive=" << e.session.maxActive << '\n'
-      << "diurnalPeriod=" << e.session.diurnalPeriod << '\n'
-      << "diurnalAmplitude=" << e.session.diurnalAmplitude << '\n';
-
-    const auto opt = [&s](const char *name, const auto &field) {
-        s << name << '=';
-        if (field.has_value())
-            s << *field;
-        else
-            s << '~';
-        s << '\n';
+    // Rows that do not shape a serve run's state: thread counts
+    // (output is byte-identical at every value), output formats and
+    // paths, serve run control, supervisor and torture knobs, and
+    // the experiment-window knobs serve ignores (it has no
+    // experiment windows, drives every endpoint without replies and
+    // runs one instance).
+    static const std::set<std::string> outside = {
+        "threads", "engineThreads", "csv", "stats", "json", "timing",
+        "metricsJson", "dot", "traceConnections", "sweepFile",
+        "checkpointOut", "restore", "serve", "serveCycles",
+        "checkpointAt", "checkpointEvery", "checkpointKeep",
+        "restoreAuto", "supervise", "restartBudget", "stallTimeoutMs",
+        "restartBackoffMs", "crashAtCycle", "stallAtCycle", "warmup",
+        "measure", "drainMax", "activeFraction", "availabilityWindow",
+        "requestReply", "replicates",
     };
-    const RetryOverrides &r = net.retry;
-    std::optional<int> kind;
-    if (!c.retryPolicy.empty())
-        kind = static_cast<int>(c.retryPolicy[0]);
-    opt("retry.kind", kind);
-    opt("retry.backoffMin", r.backoffMin);
-    opt("retry.backoffMax", r.backoffMax);
-    opt("retry.backoffCap", r.backoffCap);
-    opt("retry.decorrelatedJitter", r.decorrelatedJitter);
-    opt("retry.aimdDecrease", r.aimdDecrease);
-    opt("retry.retryBudget", r.retryBudget);
-    opt("retry.retryBudgetCap", r.retryBudgetCap);
-    opt("retry.sendQueueLimit", r.sendQueueLimit);
-    opt("retry.inflightLimit", r.inflightLimit);
-    opt("retry.ageClamp", r.ageClamp);
-    opt("retry.ageStarve", r.ageStarve);
-
-    s << "window=" << opts.window << '\n';
-    for (const auto &m : opts.maintain)
-        s << "maintain=" << m << '\n';
-    return s.str();
+    std::string out;
+    const auto rows = [&out](const auto &table, const auto &source) {
+        for (const auto &k : table)
+            if (outside.count(k.name) == 0)
+                out += std::string(k.name) + "=" + k.show(source) + "\n";
+    };
+    rows(pointKnobs(), opts.config);
+    rows(runKnobs(), opts);
+    return out;
 }
 
 int

@@ -757,11 +757,15 @@ NetworkInterface::tickSend(Cycle cycle)
 }
 
 void
-NetworkInterface::handleTurnAtReceiver(RecvPort &port, Cycle cycle)
+NetworkInterface::handleTurnAtReceiver(RecvPort &port,
+                                       std::uint64_t msg_id, Cycle cycle)
 {
-    const bool tracked = tracker_->known(port.msgId);
-    MessageRecord *rec =
-        tracked ? &tracker_->record(port.msgId) : nullptr;
+    // The message is the one the TURN itself names (in hardware its
+    // identity rides in the payload the TURN closes), not the one
+    // the port latched when the stream began: a port left half-open
+    // by a dead wire can carry a later connection through the same
+    // stale crosspoints, long after the latched message resolved.
+    MessageRecord *rec = tracker_->find(msg_id);
 
     bool crc_ok = port.checksumSeen;
     if (port.checksumSeen) {
@@ -887,7 +891,7 @@ NetworkInterface::processReceivedSymbol(RecvPort &port,
         port.checksum = sym.value;
         break;
       case SymbolKind::Turn:
-        handleTurnAtReceiver(port, cycle);
+        handleTurnAtReceiver(port, sym.msgId, cycle);
         break;
       case SymbolKind::Drop:
         ++counters_[NiCounter::abortedReceives];

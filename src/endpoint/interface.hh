@@ -457,7 +457,8 @@ class NetworkInterface : public Component
     void tickRecv(RecvPort &port, Cycle cycle);
     void processReceivedSymbol(RecvPort &port, const Symbol &sym,
                                Cycle cycle);
-    void handleTurnAtReceiver(RecvPort &port, Cycle cycle);
+    void handleTurnAtReceiver(RecvPort &port, std::uint64_t msg_id,
+                              Cycle cycle);
 
     NodeId id_;
     NiConfig config_;

@@ -10,6 +10,12 @@
  * against it, and the test suite checks exactly-once delivery and
  * latency accounting against this ledger.
  *
+ * Nothing in the fabric names a message once it has resolved and
+ * its last symbols have drained (the protocol is source-responsible,
+ * DESIGN.md §1), so a long-running service retires resolved records
+ * (retire()) and the ledger holds live state only. Experiments and
+ * sweeps never retire: they read the whole ledger for their results.
+ *
  * In hardware the (source, destination, sequence) triple would ride
  * in the message payload; the simulator carries a msgId tag on
  * symbols and keeps the triple here instead, which keeps payload
@@ -20,6 +26,7 @@
 #define METRO_ENDPOINT_MESSAGE_HH
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -152,37 +159,110 @@ class MessageTracker
     MessageRecord &
     record(std::uint64_t id)
     {
-        auto it = records_.find(id);
-        METRO_ASSERT(it != records_.end(), "unknown message %llu",
+        MessageRecord *rec = find(id);
+        METRO_ASSERT(rec != nullptr, "unknown message %llu",
                      static_cast<unsigned long long>(id));
-        return it->second;
+        return *rec;
     }
 
     /** Read-only access to a record. */
     const MessageRecord &
     record(std::uint64_t id) const
     {
-        auto it = records_.find(id);
-        METRO_ASSERT(it != records_.end(), "unknown message %llu",
-                     static_cast<unsigned long long>(id));
-        return it->second;
+        return const_cast<MessageTracker *>(this)->record(id);
     }
 
-    /** Whether an id is known (0 is never known). */
+    /**
+     * The live record of `id`, or nullptr for an id never issued (0
+     * included). Looking up a retired id is a hard error: a symbol
+     * still naming it means the retirement margin was too short, and
+     * answering "unknown" would silently turn a duplicate into a
+     * NACK.
+     */
+    MessageRecord *
+    find(std::uint64_t id)
+    {
+        auto it = records_.find(id);
+        if (it != records_.end())
+            return &it->second;
+        METRO_ASSERT(id == 0 || id >= nextId_,
+                     "message %llu looked up after it was retired",
+                     static_cast<unsigned long long>(id));
+        return nullptr;
+    }
+
+    /** Whether an id has a live record (0 is never known). A pure
+     *  query: checkpoint restore validates hostile ids with it. */
     bool
     known(std::uint64_t id) const
     {
         return records_.find(id) != records_.end();
     }
 
-    /** All records (tests iterate for invariant checks). */
+    /** Records retired so far, by outcome. */
+    struct RetiredTotals
+    {
+        std::uint64_t records = 0;
+        std::uint64_t succeeded = 0;
+        /** Gave up, admission sheds included. */
+        std::uint64_t gaveUp = 0;
+    };
+
+    /**
+     * Retire every record that resolved (succeeded or gave up) at or
+     * before cycle `horizon`, auditing each one's exactly-once
+     * delivery as it goes. Returns "" or the audit breach of the
+     * lowest-numbered offending record, in which case nothing is
+     * retired.
+     */
+    std::string
+    retire(Cycle horizon)
+    {
+        const auto due = [horizon](const MessageRecord &rec) {
+            return (rec.succeeded || rec.gaveUp) &&
+                   rec.completeCycle <= horizon;
+        };
+        std::uint64_t breach = 0;
+        for (const auto &[id, rec] : records_) {
+            const bool once = rec.deliveredCount <= 1 &&
+                              (!rec.succeeded || rec.deliveredCount == 1) &&
+                              !(rec.succeeded && rec.gaveUp);
+            if (due(rec) && !once && (breach == 0 || id < breach))
+                breach = id;
+        }
+        if (breach != 0) {
+            const MessageRecord &rec = records_.at(breach);
+            return "exactly-once audit failed: message " +
+                   std::to_string(breach) + " delivered " +
+                   std::to_string(rec.deliveredCount) + " times (" +
+                   (rec.succeeded ? "succeeded" : "gave up") +
+                   (rec.succeeded && rec.gaveUp ? " and gave up" : "") +
+                   ")";
+        }
+        for (auto it = records_.begin(); it != records_.end();) {
+            if (!due(it->second)) {
+                ++it;
+                continue;
+            }
+            ++retired_.records;
+            ++(it->second.succeeded ? retired_.succeeded
+                                    : retired_.gaveUp);
+            it = records_.erase(it);
+        }
+        return "";
+    }
+
+    /** Running totals of the records retired so far. */
+    const RetiredTotals &retired() const { return retired_; }
+
+    /** All live records (tests iterate for invariant checks). */
     const std::unordered_map<std::uint64_t, MessageRecord> &
     all() const
     {
         return records_;
     }
 
-    /** Count of registered messages. */
+    /** Count of live (not yet retired) records. */
     std::size_t size() const { return records_.size(); }
 
     /**
@@ -198,6 +278,7 @@ class MessageTracker
 
     std::uint64_t nextId_ = 1;
     std::unordered_map<std::uint64_t, MessageRecord> records_;
+    RetiredTotals retired_;
 };
 
 } // namespace metro

@@ -1,6 +1,8 @@
 #include "network/analysis.hh"
 
+#include <algorithm>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bitops.hh"
 
@@ -243,6 +245,45 @@ minPathsOverPairs(Network &net)
         }
     }
     return min_paths;
+}
+
+Cycle
+longestRouteLatency(Network &net)
+{
+    // reach[r]: the longest walk of exactly k + 1 lanes that ends at
+    // router r's forward side (kNever = no such walk). In a layered
+    // network every walk ends at an endpoint after stages + 1 lanes
+    // and the loop stops there.
+    std::vector<Cycle> reach(net.numRouters(), kNever);
+    Cycle longest = 0;
+    bool live = true;
+    for (std::size_t k = 0; k <= net.numRouters() && live; ++k) {
+        live = false;
+        std::vector<Cycle> next(net.numRouters(), kNever);
+        for (LinkId l = 0; l < net.numLinks(); ++l) {
+            const Link &link = net.link(l);
+            const LinkEnd &a = link.endA();
+            const LinkEnd &b = link.endB();
+            Cycle from = kNever;
+            if (a.kind == AttachKind::Endpoint && k == 0)
+                from = 0;
+            else if (a.kind == AttachKind::RouterBackward)
+                from = reach[a.id];
+            if (from == kNever)
+                continue;
+            const Cycle at = from + link.downLatency();
+            if (b.kind == AttachKind::Endpoint)
+                longest = std::max(longest, at);
+            else if (b.kind == AttachKind::RouterForward) {
+                next[b.id] = next[b.id] == kNever
+                                 ? at
+                                 : std::max(next[b.id], at);
+                live = true;
+            }
+        }
+        reach = std::move(next);
+    }
+    return longest;
 }
 
 } // namespace metro

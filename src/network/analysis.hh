@@ -57,6 +57,20 @@ std::uint64_t minPathsOverPairs(Network &net,
 /** Oracle-backed variant of minPathsOverPairs(). */
 std::uint64_t minPathsOverPairs(Network &net);
 
+/**
+ * The longest source-to-destination lane latency of the built
+ * network: the most cycles a symbol pushed by a source can spend in
+ * flight before its destination reads it (routers hold no symbols;
+ * each lane's latency folds in its driver's pipeline). Computed as
+ * the longest walk of forward lanes from an endpoint to an endpoint
+ * with at most one lane more than there are routers, so it bounds
+ * every path that visits no router twice: each route, and also a
+ * path stitched from stale crosspoints of half-open connections.
+ * In a layered network (the multibutterflies) that is exactly the
+ * longest route.
+ */
+Cycle longestRouteLatency(Network &net);
+
 } // namespace metro
 
 #endif // METRO_NETWORK_ANALYSIS_HH

@@ -431,12 +431,25 @@ class CheckpointIO
         counterBlock(ar, ni.counters_);
     }
 
-    /** The message ledger, in id order. */
+    /** The message ledger: the retired totals, then the live
+     *  records in id order. */
     template <class Ar, class T>
     static void
     ledger(Ar &ar, T &t)
     {
         ar.u64(t.nextId_);
+        ar.staged(t.retired_, [&t](auto &ar, auto &r) {
+            ar.u64(r.records);
+            ar.u64(r.succeeded);
+            ar.u64(r.gaveUp);
+            ar.check(
+                [&] {
+                    return r.records < t.nextId_ &&
+                           r.succeeded <= r.records &&
+                           r.gaveUp == r.records - r.succeeded;
+                },
+                "ledger retired totals inconsistent");
+        });
         ar.entries(t.records_, 64, [&t](auto &ar, auto &id, auto &rec) {
             ar.u64(
                 id,
@@ -618,19 +631,17 @@ class CheckpointIO
 
     template <class Ar, class D>
     static void
-    closedDriver(Ar &ar, D &d, const MessageTracker &tracker)
+    closedDriver(Ar &ar, D &d)
     {
         rng(ar, d.rng_);
         ar.u64(d.nextSubmit_);
         ar.u8(d.waiting_);
         ar.u64(d.submitted_);
-        ledgerIds(ar, d.ids_, tracker,
-                  "driver message id unknown to the ledger");
     }
 
     template <class Ar, class D>
     static void
-    openDriver(Ar &ar, D &d, const MessageTracker &tracker)
+    openDriver(Ar &ar, D &d)
     {
         rng(ar, d.rng_);
         bool on = d.process_.phaseOn();
@@ -639,8 +650,6 @@ class CheckpointIO
             if (ar.ok())
                 d.process_.setPhaseOn(on);
         ar.u64(d.submitted_);
-        ledgerIds(ar, d.ids_, tracker,
-                  "driver message id unknown to the ledger");
     }
 };
 
@@ -734,16 +743,16 @@ CheckpointIO::walk(Ar &ar, std::uint64_t digest,
     registry(ar, net.metrics_);
 
     section(ar, "DRVC");
-    ar.expectSize(parts.closedDrivers.size(), 45,
+    ar.expectSize(parts.closedDrivers.size(), 49,
                   "closed-loop driver count mismatch");
     for (ClosedLoopDriver *d : parts.closedDrivers)
-        closedDriver(ar, side<Ar>(*d), net.tracker_);
+        closedDriver(ar, side<Ar>(*d));
 
     section(ar, "DRVO");
-    ar.expectSize(parts.openDrivers.size(), 48,
+    ar.expectSize(parts.openDrivers.size(), 41,
                   "open-loop driver count mismatch");
     for (OpenLoopDriver *d : parts.openDrivers)
-        openDriver(ar, side<Ar>(*d), net.tracker_);
+        openDriver(ar, side<Ar>(*d));
 
     // Fault events are rebuilt structurally from the same fault
     // list; tick() fires on exact-cycle matches only, so the applied

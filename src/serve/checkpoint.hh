@@ -43,8 +43,10 @@ class DiagnosisEngine;
 /** Checkpoint file format version (bump on layout changes).
  *  v2 added the whole-file integrity footer; v3 added the workload
  *  fields (trafficClass/rpcGroup/rpcFanout per ledger record, the
- *  open-loop driver's injection-process phase). */
-constexpr std::uint32_t kCheckpointVersion = 3;
+ *  open-loop driver's injection-process phase); v4 carries only the
+ *  live ledger records plus the retired totals, and the drivers no
+ *  longer list their message ids. */
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** "MTR0" little-endian. */
 constexpr std::uint32_t kCheckpointMagic = 0x3052544du;

@@ -7,6 +7,7 @@
 
 #include "app/knob.hh"
 #include "endpoint/interface.hh"
+#include "network/analysis.hh"
 #include "network/network.hh"
 #include "report/json.hh"
 #include "router/tap.hh"
@@ -97,6 +98,7 @@ ServiceRunner::ServiceRunner(const ServeConfig &config,
 {
     METRO_ASSERT(parts_.net != nullptr, "serve needs a network");
     METRO_ASSERT(config_.window > 0, "window must be positive");
+    retireMargin_ = longestRouteLatency(*parts_.net);
     ops_.resize(config_.maintenance.size());
     prev_ = parts_.net->metricsSnapshot();
     nextCheckpointAt_ = config_.checkpointEvery;
@@ -559,6 +561,20 @@ ServiceRunner::run(const std::function<bool()> &stop_requested)
                 ::pause();
         }
         const Cycle now = eng.now();
+
+        // Retire resolved records before anything reads or saves the
+        // boundary state, so a checkpoint never holds a record the
+        // uninterrupted run has already dropped. A record resolved
+        // at least retireMargin_ cycles ago has no symbol left in
+        // flight, so nothing can name it again.
+        if (now >= retireMargin_) {
+            const std::string breach =
+                net.tracker().retire(now - retireMargin_);
+            if (!breach.empty())
+                return "window " + std::to_string(windowIndex_) +
+                       " (cycle " + std::to_string(now) +
+                       "): " + breach;
+        }
 
         maintenanceTick(now);
 

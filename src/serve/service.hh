@@ -6,6 +6,10 @@
  * The ServiceRunner advances a fully-built simulation instance in
  * fixed-size cycle windows. At every window boundary it:
  *
+ *  0. retires the message-ledger records that resolved at least the
+ *     network's longest source-to-destination lane latency ago,
+ *     auditing each one's exactly-once delivery as it goes, so the
+ *     ledger (and every checkpoint) holds live state only;
  *  1. steps any planned-maintenance operations (drain-then-disable
  *     of a router via its TAP, later rolling re-enable);
  *  2. takes a metrics snapshot, asserts both word-conservation
@@ -183,8 +187,9 @@ class ServiceRunner
     /**
      * Run windows until the stop predicate returns true, the
      * absolute cycle target is reached, or a window fails its
-     * conservation check. Returns "" on a clean stop, else the
-     * conservation-violation description.
+     * conservation check or the exactly-once audit of a retiring
+     * record. Returns "" on a clean stop, else the violation's
+     * description.
      */
     std::string run(const std::function<bool()> &stop_requested = {});
 
@@ -193,6 +198,10 @@ class ServiceRunner
 
     /** The cumulative snapshot taken at the last window boundary. */
     const MetricsRegistry &boundarySnapshot() const { return prev_; }
+
+    /** Cycles a resolved record stays in the ledger before it
+     *  retires: the network's longest route latency. */
+    Cycle retireMargin() const { return retireMargin_; }
 
   private:
     /** Phase machine of one maintenance op. */
@@ -253,6 +262,7 @@ class ServiceRunner
     std::function<void(const std::string &)> emit_;
     std::function<void(Cycle)> heartbeat_;
     MetricsRegistry prev_;
+    Cycle retireMargin_ = 0;
     std::uint64_t windowIndex_ = 0;
     bool checkpointDone_ = false;
     /** Next multiple-of-checkpointEvery cycle a periodic checkpoint

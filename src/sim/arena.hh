@@ -284,6 +284,13 @@ class LaneArena
             (static_cast<std::uint8_t>(census) << kCensusShift));
     }
 
+    LaneCensus
+    census(LaneId lane) const
+    {
+        return static_cast<LaneCensus>(
+            (flags_[lane] & kCensusMask) >> kCensusShift);
+    }
+
     /** A one-cycle fault edge (fresh death or heal) is pending:
      *  the lane cannot sleep until the next advance resolves it. */
     bool
@@ -351,13 +358,6 @@ class LaneArena
     static constexpr std::uint8_t kCensusShift = 2;
     static constexpr std::uint8_t kCensusMask = 3u << kCensusShift;
     /** @} */
-
-    LaneCensus
-    census(LaneId lane) const
-    {
-        return static_cast<LaneCensus>(
-            (flags_[lane] & kCensusMask) >> kCensusShift);
-    }
 
     void
     censusStepTo(LaneId lane, std::uint64_t &discards)

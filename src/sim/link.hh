@@ -267,15 +267,31 @@ class Link
         // exact; the per-lane census state machine (LaneCensus)
         // carries the two one-cycle corrections that keep the
         // charge aligned with what readers saw in phase 1.
+        //
+        // Readers tick before the fault machinery, so this cycle's
+        // heads were read with the fault mode the cycle started
+        // with; the census must follow that mode and the final one,
+        // not the last edge. A pending edge means the mode already
+        // changed this cycle: a fail after a heal leaves a lane that
+        // was read dead (DeadCharge), a heal after a fail leaves one
+        // that was read healthy (None).
         const bool was_dead = fault_ == LinkFault::Dead;
         fault_ = fault;
         const bool now_dead = fault == LinkFault::Dead;
-        if (now_dead && !was_dead) {
-            arena_->setCensus(down_, LaneCensus::DeadPending);
-            arena_->setCensus(up_, LaneCensus::DeadPending);
-        } else if (!now_dead && was_dead) {
-            arena_->setCensus(down_, LaneCensus::HealCharge);
-            arena_->setCensus(up_, LaneCensus::HealCharge);
+        if (now_dead != was_dead) {
+            for (const LaneId lane : {down_, up_}) {
+                const LaneCensus edge = arena_->census(lane);
+                LaneCensus next;
+                if (now_dead)
+                    next = edge == LaneCensus::HealCharge
+                               ? LaneCensus::DeadCharge
+                               : LaneCensus::DeadPending;
+                else
+                    next = edge == LaneCensus::DeadPending
+                               ? LaneCensus::None
+                               : LaneCensus::HealCharge;
+                arena_->setCensus(lane, next);
+            }
         }
         // A fault lands on a fast-pathed link: reactivate it so the
         // death census runs (and both end components observe the

@@ -80,8 +80,8 @@ struct DriverConfig
 /**
  * Submit one logical request from `ni` according to `config`:
  * a single message, or K fan-out legs sharing a traffic class and
- * an RPC group. Appends tracker ids to `ids` and bumps `submitted`
- * once per *logical* request (a K-leg fan-out counts once).
+ * an RPC group. Bumps `submitted` once per *logical* request (a K-leg
+ * fan-out counts once); the legs take consecutive tracker ids.
  *
  * Draw order per leg: destination, [class], [size], payload words.
  * The bracketed draws only happen when the respective knob is
@@ -91,7 +91,7 @@ struct DriverConfig
 inline void
 issueRequest(NetworkInterface *ni, const DestinationGenerator *dests,
              const DriverConfig &config, Xoshiro256 &rng,
-             std::vector<std::uint64_t> &ids, std::uint64_t &submitted)
+             std::uint64_t &submitted)
 {
     const unsigned legs = config.fanout > 1 ? config.fanout : 1;
     SendMeta meta;
@@ -136,7 +136,6 @@ issueRequest(NetworkInterface *ni, const DestinationGenerator *dests,
         const bool want_reply = legs > 1 || config.requestReply;
         const auto id =
             ni->send(dest, std::move(payload), want_reply, meta);
-        ids.push_back(id);
         if (leg == 0 && legs > 1)
             meta.rpcGroup = id; // remaining legs join the head's group
     }
@@ -194,17 +193,11 @@ class ClosedLoopDriver : public Component
         if (cycle < nextSubmit_)
             return;
 
-        issueRequest(ni_, dests_, config_, rng_, ids_, submitted_);
+        issueRequest(ni_, dests_, config_, rng_, submitted_);
     }
 
     /** Messages submitted so far. */
     std::uint64_t submitted() const { return submitted_; }
-
-    /** Tracker ids of all submissions. */
-    const std::vector<std::uint64_t> &messageIds() const
-    {
-        return ids_;
-    }
 
   private:
     friend class CheckpointIO;
@@ -224,7 +217,6 @@ class ClosedLoopDriver : public Component
     Cycle nextSubmit_ = 0;
     bool waiting_ = false;
     std::uint64_t submitted_ = 0;
-    std::vector<std::uint64_t> ids_;
 };
 
 /**
@@ -252,17 +244,11 @@ class OpenLoopDriver : public Component
             return;
         if (!process_.step(rng_))
             return;
-        issueRequest(ni_, dests_, config_, rng_, ids_, submitted_);
+        issueRequest(ni_, dests_, config_, rng_, submitted_);
     }
 
     /** Messages submitted so far. */
     std::uint64_t submitted() const { return submitted_; }
-
-    /** Tracker ids of all submissions. */
-    const std::vector<std::uint64_t> &messageIds() const
-    {
-        return ids_;
-    }
 
   private:
     friend class CheckpointIO;
@@ -281,7 +267,6 @@ class OpenLoopDriver : public Component
     Xoshiro256 rng_;
     InjectionProcess process_;
     std::uint64_t submitted_ = 0;
-    std::vector<std::uint64_t> ids_;
 };
 
 } // namespace metro

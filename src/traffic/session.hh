@@ -78,8 +78,7 @@ class SessionDriver : public Component
         for (std::size_t k = 0; k < sessions_.size(); ++k) {
             Session s = sessions_[k];
             if (cycle >= s.nextAt && s.remaining > 0) {
-                issueRequest(ni_, dests_, config_, rng_, ids_,
-                             submitted_);
+                issueRequest(ni_, dests_, config_, rng_, submitted_);
                 --s.remaining;
                 unsigned gap = scfg_.gap;
                 if (gap >= 4) {
@@ -99,12 +98,6 @@ class SessionDriver : public Component
 
     /** Messages submitted so far. */
     std::uint64_t submitted() const { return submitted_; }
-
-    /** Tracker ids of all submissions. */
-    const std::vector<std::uint64_t> &messageIds() const
-    {
-        return ids_;
-    }
 
     /** Sessions started / shed at the maxActive cap / live now. @{ */
     std::uint64_t sessionsStarted() const { return sessionsStarted_; }
@@ -136,7 +129,6 @@ class SessionDriver : public Component
     std::uint64_t submitted_ = 0;
     std::uint64_t sessionsStarted_ = 0;
     std::uint64_t sessionsShed_ = 0;
-    std::vector<std::uint64_t> ids_;
 };
 
 } // namespace metro

@@ -63,7 +63,8 @@ slurp(const std::filesystem::path &path)
         std::istreambuf_iterator<char>());
 }
 
-/** The valid seeds, each written by metro_sim at format v3. */
+/** The valid seeds, each written by metro_sim at the current format
+ *  (tests/corpus/regen_checkpoint_seeds.sh). */
 const char *const kValidSeeds[] = {
     "valid_fig1_serve.ckpt",
     "valid_fig1_diag_serve.ckpt",
@@ -270,6 +271,22 @@ TEST(CheckpointCorpus, RestoreThenSaveReproducesTheSeed)
             << "first differing byte at offset "
             << (diff.first - saved.begin());
     }
+}
+
+/** A seed of the previous format (v3 kept every ledger record ever
+ *  created and the drivers' id lists) is refused at the version
+ *  check, before any section is read. */
+TEST(CheckpointCorpus, RefusesTheV3Seed)
+{
+    const char *name = "v3_fig1_serve.ckpt";
+    const auto bytes = slurp(corpusDir() / name);
+    ASSERT_FALSE(bytes.empty());
+    ASSERT_EQ(headerU64(bytes, 4) & 0xffffffffu, 3u);
+    Target target(seedOptions(name));
+    EXPECT_EQ(target.restore(bytes, headerDigest(bytes)),
+              "unsupported checkpoint version");
+    EXPECT_EQ(target.restore(bytes, digestOf(seedOptions(name))),
+              "unsupported checkpoint version");
 }
 
 /**

@@ -191,7 +191,9 @@ TEST(Config, CommandLineMatchesEverySweepFile)
 /**
  * Knobs outside the checkpoint digest: a checkpoint restores into a
  * run that differs only in these. Every other knob must change the
- * digest, so a knob added later without a digest line fails here.
+ * digest. canonicalConfigString writes every knob-table row except
+ * the ones it lists as outside, so a row added to either list alone
+ * fails here.
  */
 const std::set<std::string> kOutsideDigest = {
     // Thread counts: output is byte-identical at every value.
@@ -295,28 +297,29 @@ TEST(Config, DigestCoversEveryKnobThatShapesTheRun)
 TEST(Config, DigestBytesOfTheCorpusCheckpointConfig)
 {
     // The flags tests/corpus/checkpoint/valid_fig1_serve.ckpt was
-    // written with; stores written before the knob tables existed
-    // must keep restoring.
+    // written with. The string is generated from the knob tables, one
+    // `name=value` row per knob that shapes a serve run; pinning it
+    // catches a change that would orphan every checkpoint store on
+    // disk, which needs a format-version bump and regenerated seeds.
     std::string error;
     const auto opts = parseArgs({"--topology=fig1", "--serve",
                                  "--window=1024", "--think=200"},
                                 error);
     ASSERT_TRUE(opts.has_value()) << error;
     EXPECT_EQ(canonicalConfigString(*opts),
-              "topology=1\nspec=\nmode=0\npattern=0\nmessageWords=20\n"
-              "seed=1\nrouterFaults=0\nlinkFaults=0\nfaultCycle=0\n"
-              "faultFile=\ndiagnosis=0\nhotNode=0\nhotFraction=0.25\n"
-              "think=200\nprocess=0\nburstOn=64\nburstOff=192\n"
-              "burstRatio=8\nsizeDist=0\nsizeMin=4\nsizeMax=64\n"
+              "topology=fig1\nspec=\nseed=1\nmode=closed\n"
+              "pattern=uniform\nthink=200\ninject=0.01\n"
+              "sessionRate=0.002\nmessageWords=20\nhotNode=0\n"
+              "hotFraction=0.25\nprocess=\nburstOn=64\nburstOff=192\n"
+              "burstRatio=8\nsizeDist=fixed\nsizeMin=4\nsizeMax=64\n"
               "sizeAlpha=1.5\nfanout=1\nclassMix=\nsessionRequests=8\n"
               "sessionGap=32\nsessionMaxActive=4096\ndiurnalPeriod=0\n"
-              "diurnalAmplitude=0.5\nretry.kind=~\n"
-              "retry.backoffMin=~\nretry.backoffMax=~\n"
-              "retry.backoffCap=~\nretry.decorrelatedJitter=~\n"
-              "retry.aimdDecrease=~\nretry.retryBudget=~\n"
-              "retry.retryBudgetCap=~\nretry.sendQueueLimit=~\n"
-              "retry.inflightLimit=~\nretry.ageClamp=~\n"
-              "retry.ageStarve=~\nwindow=1024\n");
+              "diurnalAmplitude=0.5\nrouterFaults=0\nlinkFaults=0\n"
+              "faultCycle=0\nfaults=\ndiagnosis=false\nretryPolicy=\n"
+              "backoffMin=\nbackoffMax=\nbackoffCap=\nretryJitter=\n"
+              "aimdDecrease=\nretryBudget=\nretryBudgetCap=\n"
+              "sendQueueLimit=\ninflightLimit=\nageClamp=\n"
+              "ageStarve=\nwindow=1024\nmaintain=\n");
 }
 
 /**

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -137,11 +138,17 @@ buildServeInstance(std::uint64_t seed, const BuildOpts &b)
     return si;
 }
 
+/** The live ledger in id order (retirement erases records, so the
+ *  hash map's own order depends on the run's history). */
 std::string
 ledgerDump(const Network &net)
 {
+    std::map<std::uint64_t, const MessageRecord *> live;
+    for (const auto &[id, rec] : net.tracker().all())
+        live.emplace(id, &rec);
     std::ostringstream ledger;
-    for (const auto &[id, rec] : net.tracker().all()) {
+    for (const auto &[id, r] : live) {
+        const MessageRecord &rec = *r;
         ledger << id << " src" << rec.src << " dst" << rec.dest
                << " sub" << rec.submitCycle << " inj"
                << rec.injectCycle << " del" << rec.deliverCycle
@@ -150,6 +157,9 @@ ledgerDump(const Network &net)
                << " ok" << rec.succeeded << " gu" << rec.gaveUp
                << "\n";
     }
+    const auto &retired = net.tracker().retired();
+    ledger << "retired " << retired.records << " ok"
+           << retired.succeeded << " gu" << retired.gaveUp << "\n";
     return ledger.str();
 }
 

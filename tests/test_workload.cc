@@ -157,18 +157,17 @@ TEST(RpcFanout, LegsGoToDistinctDestinationsAndShareAGroup)
     dcfg.messageWords = 8;
     dcfg.fanout = 3;
     Xoshiro256 rng(17);
-    std::vector<std::uint64_t> ids;
+    const std::uint64_t first = net->tracker().nextId();
     std::uint64_t submitted = 0;
     for (int k = 0; k < 40; ++k)
-        issueRequest(&net->endpoint(5), &dests, dcfg, rng, ids,
-                     submitted);
+        issueRequest(&net->endpoint(5), &dests, dcfg, rng, submitted);
     EXPECT_EQ(submitted, 40u) << "one logical request per fan-out";
-    ASSERT_EQ(ids.size(), 120u);
-    for (std::size_t g = 0; g < ids.size(); g += 3) {
-        const auto head = ids[g];
+    ASSERT_EQ(net->tracker().nextId() - first, 120u);
+    // The legs of one request take consecutive ids.
+    for (std::uint64_t head = first; head < first + 120; head += 3) {
         std::vector<NodeId> dsts;
-        for (std::size_t leg = 0; leg < 3; ++leg) {
-            const auto &rec = net->tracker().record(ids[g + leg]);
+        for (std::uint64_t leg = 0; leg < 3; ++leg) {
+            const auto &rec = net->tracker().record(head + leg);
             EXPECT_EQ(rec.rpcGroup, head);
             EXPECT_EQ(rec.rpcFanout, 3u);
             EXPECT_TRUE(rec.requestReply)
