@@ -6,14 +6,18 @@
 # suite — the byte-identity property tests, the plan-structure
 # tests, the mid-campaign removal test, the self-profile tests, and
 # the saturated multi-thread soak (which keeps every worker
-# contending on shared boundary lanes) — the 1 → 4 → 1 mid-run
+# contending on shared boundary lanes), the drivers-in-their-
+# endpoint's-shard plan tests — the 1 → 4 → 1 mid-run
 # thread-switch test, the tick-pool suite (the epoch hand-off,
-# spin-then-park waits and resize), plus the thread-parameterized
-# quiescence equivalence tests, under ThreadSanitizer. Any
-# unsynchronized access in the tick pool, the deferred-activation
-# exchange, the chunked phase-2 commit, or the router and endpoint
-# counter blocks (written by their shard, folded serially) fails the
-# job.
+# spin-then-park waits, the spin governor and resize), the
+# staged-send byte-identity tests (fan-out groups, request-reply,
+# admission sheds, MMPP, sessions, a corrupt endpoint link, and the
+# serve stream with checkpoints cut across thread counts), plus the
+# thread-parameterized quiescence equivalence tests, under
+# ThreadSanitizer. Any unsynchronized access in the tick pool, the
+# deferred-activation exchange, the staged ledger records, the
+# chunked phase-2 commit, or the router and endpoint counter blocks
+# (written by their shard, folded serially) fails the job.
 #
 # Usage: ci/tsan-engine.sh [build-dir]   (default: build-tsan)
 # (Shares build-tsan with ci/tsan-sweep.sh by default: same
@@ -29,4 +33,4 @@ cmake -B "$BUILD" -S . \
     -DMETRO_TSAN=ON
 cmake --build "$BUILD" -j "$(nproc)" --target metro_tests
 ctest --test-dir "$BUILD" --output-on-failure \
-    -R 'Shard|EngineThreadSwitch|Pool|QuiescenceAtThreads'
+    -R 'Shard|EngineThreadSwitch|Pool|QuiescenceAtThreads|StagedIds'

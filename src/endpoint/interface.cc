@@ -226,58 +226,29 @@ std::uint64_t
 NetworkInterface::send(NodeId dest, std::vector<Word> payload,
                        bool request_reply, const SendMeta &meta)
 {
-    // New work for the send machine: leave quiescence first, so
-    // lastCycle_ (which timestamps same-cycle admission sheds
-    // below) is restored before anything reads it.
-    wake();
     for (Word w : payload) {
         METRO_ASSERT((w & ~lowMask(config_.width)) == 0,
                      "payload word %llx exceeds channel width %u",
                      static_cast<unsigned long long>(w),
                      config_.width);
     }
-    // A message's wire footprint is its payload plus the checksum
-    // word (what injection admission is bounding).
-    const std::uint64_t words = payload.size() + 1;
-    const std::uint64_t id =
-        tracker_->create(id_, dest, std::move(payload), nextSequence_++,
-                         request_reply, /*now=*/kNever);
-    {
-        auto &rec = tracker_->record(id);
-        rec.trafficClass = meta.trafficClass;
-        rec.rpcFanout = meta.rpcFanout;
-        // rpcGroup 0 on a fan-out leg marks the group head: its own
-        // id names the group for the remaining legs.
-        if (meta.rpcFanout > 0)
-            rec.rpcGroup = meta.rpcGroup ? meta.rpcGroup : id;
-    }
-    ++counters_[NiCounter::submitted];
-    share_.words[Words::submitted] += words;
-    if (config_.retry.sendQueueLimit > 0 &&
-        queue_.size() >= config_.retry.sendQueueLimit) {
-        // Admission control: shed at the source boundary. The
-        // message resolves immediately (gaveUp) without touching
-        // the wire, so the shed words land in their own
-        // conservation bin: submitted == admitted + shed.
-        auto &rec = tracker_->record(id);
-        rec.gaveUp = true;
-        rec.shedAdmission = true;
-        rec.submitCycle = lastCycle_;
-        rec.completeCycle = lastCycle_;
-        ++counters_[NiCounter::admissionSheds];
-        share_.words[Words::shedAdmission] += words;
-        return id;
-    }
-    share_.words[Words::admitted] += words;
-    queue_.push_back(id);
-    return id;
+    MessageRecord rec;
+    rec.dest = dest;
+    rec.payload = std::move(payload);
+    rec.requestReply = request_reply;
+    rec.trafficClass = meta.trafficClass;
+    rec.rpcFanout = meta.rpcFanout;
+    // rpcGroup 0 on a fan-out leg marks the group head: its own id
+    // names the group for the remaining legs (MessageTracker::add).
+    if (meta.rpcFanout > 0)
+        rec.rpcGroup = meta.rpcGroup;
+    return submit(std::move(rec));
 }
 
 std::uint64_t
 NetworkInterface::sendSession(NodeId dest,
                               std::vector<std::vector<Word>> rounds)
 {
-    wake(); // see send()
     METRO_ASSERT(!rounds.empty(), "session needs at least one round");
     for (const auto &round : rounds) {
         for (Word w : round) {
@@ -285,28 +256,97 @@ NetworkInterface::sendSession(NodeId dest,
                          "session word exceeds channel width");
         }
     }
-    const std::uint64_t words = rounds.front().size() + 1;
-    const std::uint64_t id =
-        tracker_->create(id_, dest, rounds.front(), nextSequence_++,
-                         /*request_reply=*/true, kNever);
-    tracker_->record(id).sessionRounds = std::move(rounds);
-    ++counters_[NiCounter::submitted];
+    MessageRecord rec;
+    rec.dest = dest;
+    rec.payload = rounds.front();
+    rec.requestReply = true;
+    rec.sessionRounds = std::move(rounds);
     ++counters_[NiCounter::sessionsSubmitted];
+    return submit(std::move(rec));
+}
+
+std::uint64_t
+NetworkInterface::submit(MessageRecord rec)
+{
+    // New work for the send machine: leave quiescence first, so
+    // lastCycle_ (which timestamps same-cycle admission sheds
+    // below) is restored before anything reads it.
+    wake();
+    // A message's wire footprint is its payload plus the checksum
+    // word (what injection admission is bounding).
+    const std::uint64_t words = rec.payload.size() + 1;
+    rec.src = id_;
+    rec.sequence = nextSequence_++;
+    ++counters_[NiCounter::submitted];
     share_.words[Words::submitted] += words;
-    if (config_.retry.sendQueueLimit > 0 &&
-        queue_.size() >= config_.retry.sendQueueLimit) {
-        auto &rec = tracker_->record(id);
+    const bool shed = config_.retry.sendQueueLimit > 0 &&
+                      queue_.size() >= config_.retry.sendQueueLimit;
+    if (shed) {
+        // Admission control: shed at the source boundary. The
+        // message resolves immediately (gaveUp) without touching
+        // the wire, so the shed words land in their own
+        // conservation bin: submitted == admitted + shed.
         rec.gaveUp = true;
         rec.shedAdmission = true;
         rec.submitCycle = lastCycle_;
         rec.completeCycle = lastCycle_;
         ++counters_[NiCounter::admissionSheds];
         share_.words[Words::shedAdmission] += words;
+    } else {
+        share_.words[Words::admitted] += words;
+    }
+    if (!stageForFold()) {
+        // Nothing ticks concurrently: the record joins the ledger now.
+        const std::uint64_t id = tracker_->add(std::move(rec));
+        if (!shed)
+            queue_.push_back(id);
         return id;
     }
-    share_.words[Words::admitted] += words;
-    queue_.push_back(id);
-    return id;
+    // Shards tick concurrently: build the record in a spare ledger
+    // entry (see MessageTracker::blank) for the phase barrier to
+    // adopt (foldStaged), and hand out a provisional handle.
+    if (spares_.empty()) {
+        // More sends in one tick than folds made spares for: make
+        // one here, on this thread.
+        MessageTracker::Records one;
+        one.try_emplace(0);
+        spares_.push_back(one.extract(0));
+    }
+    MessageTracker::Node entry = std::move(spares_.back());
+    spares_.pop_back();
+    std::vector<Word> payload = std::move(entry.mapped().payload);
+    payload.assign(rec.payload.begin(), rec.payload.end());
+    rec.payload = std::move(payload);
+    entry.mapped() = std::move(rec);
+    const std::uint64_t handle = kStagedHandle | staged_.size();
+    staged_.push_back(std::move(entry));
+    if (!shed)
+        queue_.push_back(handle);
+    return handle;
+}
+
+void
+NetworkInterface::foldStaged()
+{
+    const std::uint64_t handle = kStagedHandle | stagedFolded_;
+    MessageTracker::Node &entry = staged_[stagedFolded_++];
+    const bool queued = !entry.mapped().shedAdmission;
+    const std::size_t words = entry.mapped().payload.size();
+    const std::uint64_t id = tracker_->adopt(std::move(entry));
+    // The handle names the record in the queue (unless it was shed)
+    // and in its later fan-out legs' group ids.
+    if (queued)
+        *std::find(queue_.rbegin(), queue_.rend(), handle) = id;
+    for (std::size_t k = stagedFolded_; k < staged_.size(); ++k) {
+        if (staged_[k].mapped().rpcGroup == handle)
+            staged_[k].mapped().rpcGroup = id;
+    }
+    // Replace the spare the record used, sized like it.
+    spares_.push_back(tracker_->blank(words));
+    if (stagedFolded_ == staged_.size()) {
+        staged_.clear();
+        stagedFolded_ = 0;
+    }
 }
 
 void

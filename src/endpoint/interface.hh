@@ -242,6 +242,14 @@ class NetworkInterface : public Component
     /**
      * Queue a message. @return the tracker id.
      * Payload words must fit in `width` bits each.
+     *
+     * Called from a tick while two or more engine shards run (a
+     * driver in its endpoint's shard), the ledger record is staged
+     * and created at the phase barrier, in fixed shard order (see
+     * Component::stageForFold): the id returned then is a
+     * provisional handle, good only as a later leg's
+     * SendMeta::rpcGroup within the same tick. Queue entries and
+     * group ids are patched to the real id when the record folds.
      */
     std::uint64_t send(NodeId dest, std::vector<Word> payload,
                        bool request_reply = false,
@@ -252,7 +260,8 @@ class NetworkInterface : public Component
      * opened once and reversed 2·rounds−1 times; the source sends
      * rounds[k] in round k, the destination's SessionHandler
      * replies each time. The whole session retries from round 0 on
-     * any failure. @return the tracker id.
+     * any failure. @return the tracker id (provisional while staged,
+     * as for send).
      */
     std::uint64_t sendSession(NodeId dest,
                               std::vector<std::vector<Word>> rounds);
@@ -303,7 +312,8 @@ class NetworkInterface : public Component
      * (reply/session/delivery handler, each free to touch whatever
      * it likes). Tracker record fields are split by writer (source
      * side vs destination side), so plain tracker updates stay
-     * safe.
+     * safe, and record creation waits for the phase barrier (see
+     * send).
      */
     bool
     parallelTickSafe() const override
@@ -415,6 +425,18 @@ class NetworkInterface : public Component
     void syncSkipped(Cycle from, Cycle upto) override;
     /** @} */
 
+    /** Sequence, count and admit (or shed) a message built by send
+     *  or sendSession, and create its ledger record — or, while
+     *  shards run concurrently, stage it (see send). */
+    std::uint64_t submit(MessageRecord rec);
+
+    /** Hand the oldest staged record to the ledger (see send). */
+    void foldStaged() override;
+
+    /** Provisional handles of staged records: this bit plus the
+     *  record's staging index (ledger ids never reach it). */
+    static constexpr std::uint64_t kStagedHandle = 1ULL << 63;
+
     /** Type-segregated dispatch (see Engine): endpoints registered
      *  consecutively tick through one devirtualized loop. */
     BatchTickFn
@@ -478,6 +500,15 @@ class NetworkInterface : public Component
 
     // --- send side ---
     std::deque<std::uint64_t> queue_;
+    /** Ledger entries staged this phase, in staging order (an
+     *  entry's handle is kStagedHandle | its index), and how many
+     *  have folded; both empty between cycles. @{ */
+    std::vector<MessageTracker::Node> staged_;
+    std::size_t stagedFolded_ = 0;
+    /** @} */
+    /** Blank ledger entries for the next sends, one made per fold
+     *  by the folding thread (see MessageTracker::blank). */
+    std::vector<MessageTracker::Node> spares_;
     SendState sendState_ = SendState::Idle;
     std::uint64_t activeMsg_ = 0;
     unsigned outPort_ = 0;

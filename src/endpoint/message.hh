@@ -137,22 +137,53 @@ struct MessageRecord
 class MessageTracker
 {
   public:
-    /** Register a new message; returns its simulator-wide id. */
+    /** The ledger's record map; a Node is one record's detached
+     *  map entry (see adopt). */
+    using Records = std::unordered_map<std::uint64_t, MessageRecord>;
+    using Node = Records::node_type;
+
+    /**
+     * Register a new message, giving it the next simulator-wide id
+     * (returned). A fan-out group's first leg (rpcFanout > 0,
+     * rpcGroup 0) names the group by that id.
+     */
     std::uint64_t
-    create(NodeId src, NodeId dest, std::vector<Word> payload,
-           std::uint32_t sequence, bool request_reply, Cycle now)
+    add(MessageRecord rec)
     {
-        const std::uint64_t id = nextId_++;
-        MessageRecord rec;
-        rec.id = id;
-        rec.src = src;
-        rec.dest = dest;
-        rec.sequence = sequence;
-        rec.payload = std::move(payload);
-        rec.requestReply = request_reply;
-        rec.submitCycle = now;
+        const std::uint64_t id = stamp(rec);
         records_.emplace(id, std::move(rec));
         return id;
+    }
+
+    /**
+     * add() for a record built in a ledger entry of its own (see
+     * blank; the entry's key is overwritten). Only the entry is
+     * relinked, so a record built by another thread joins the ledger
+     * without being copied or allocated here.
+     */
+    std::uint64_t
+    adopt(Node node)
+    {
+        const std::uint64_t id = stamp(node.mapped());
+        node.key() = id;
+        records_.insert(std::move(node));
+        return id;
+    }
+
+    /**
+     * A blank ledger entry with room for `words` payload words. The
+     * thread that adopts makes the entries ahead, so the ledger's
+     * memory comes from that one thread whichever thread fills them
+     * (memory another thread allocates stays in its allocator arena
+     * and is not reused by this one).
+     */
+    Node
+    blank(std::size_t words)
+    {
+        nursery_.try_emplace(0);
+        Node node = nursery_.extract(0);
+        node.mapped().payload.reserve(words);
+        return node;
     }
 
     /** Mutable access to a record. */
@@ -256,7 +287,7 @@ class MessageTracker
     const RetiredTotals &retired() const { return retired_; }
 
     /** All live records (tests iterate for invariant checks). */
-    const std::unordered_map<std::uint64_t, MessageRecord> &
+    const Records &
     all() const
     {
         return records_;
@@ -276,8 +307,19 @@ class MessageTracker
   private:
     friend class CheckpointIO;
 
+    /** Give a new record the next id (see add). */
+    std::uint64_t
+    stamp(MessageRecord &rec)
+    {
+        rec.id = nextId_++;
+        if (rec.rpcFanout > 0 && rec.rpcGroup == 0)
+            rec.rpcGroup = rec.id;
+        return rec.id;
+    }
+
     std::uint64_t nextId_ = 1;
-    std::unordered_map<std::uint64_t, MessageRecord> records_;
+    Records records_;
+    Records nursery_; ///< makes blank entries (empty between calls)
     RetiredTotals retired_;
 };
 

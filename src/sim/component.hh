@@ -20,6 +20,21 @@ namespace metro
 
 class Component;
 
+namespace detail
+{
+/**
+ * Sharded-engine staging of shared-state writes (see engine.hh):
+ * while two or more shards tick concurrently, each worker points
+ * this at its shard's private list, and a tick that must write
+ * shared state (a network interface creating a ledger record) stages
+ * the write and queues its component here instead
+ * (Component::stageForFold). The engine folds the lists in shard
+ * order at the phase barrier. Null — a lone live shard, the serial
+ * section, anything outside Engine::step — means write inline.
+ */
+inline thread_local std::vector<Component *> *tlsStagedFolds = nullptr;
+} // namespace detail
+
 /**
  * The wakeup side of the engine's activity protocol (implemented by
  * Engine; see engine.hh). Split out so components and links can
@@ -147,6 +162,20 @@ class Component
 
     static constexpr std::uint32_t kNiTickCost = 4;
 
+    /**
+     * The component this one ticks right after, in the same shard —
+     * a traffic driver's network interface — or nullptr. The shard
+     * plan (see engine.hh) cuts an anchor and its followers as one
+     * unit and ticks every follower after every anchor of its shard,
+     * so a follower may read and write its anchor's state (queue a
+     * send, wake it) as if the two were one component. A follower
+     * whose anchor ticks in the serial section ticks there too, and
+     * so does every follower registered after it (see
+     * Engine::rebuildPlan). A follower never sleeps: a shard whose
+     * members all sleep still ticks its followers.
+     */
+    virtual Component *tickAnchor() const { return nullptr; }
+
     /** Diagnostic name. */
     const std::string &name() const { return name_; }
 
@@ -169,6 +198,26 @@ class Component
         if (sched_ != nullptr)
             sched_->invalidateShardPlan();
     }
+
+    /**
+     * Stage a shared-state write for the phase barrier: true while
+     * two or more shards tick concurrently, having queued this
+     * component for one foldStaged() call, which the engine makes at
+     * the barrier in shard order (one call per stageForFold). False
+     * when nothing runs concurrently: write inline.
+     */
+    bool
+    stageForFold()
+    {
+        if (detail::tlsStagedFolds == nullptr)
+            return false;
+        detail::tlsStagedFolds->push_back(this);
+        return true;
+    }
+
+    /** Apply the oldest write staged by stageForFold (called by the
+     *  engine at the phase barrier, nothing running concurrently). */
+    virtual void foldStaged() {}
 
     /**
      * True when the next tick would be a no-op given that every

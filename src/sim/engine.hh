@@ -62,34 +62,44 @@
  * contiguous sub-ranges of the registration order of near-equal
  * summed Component::tickCost, since the globally clocked cycle runs
  * only as fast as its slowest shard — and shard k ticks on pool
- * participant k every cycle (sim/pool.hh). Everything else
- * (drivers, probes, injectors, cascade groups, and the dynamically
- * *pinned* ends of corrupt links, which share the link's corruption
- * PRNG) ticks in the serial section, in registration order. Phase
- * 1's contract — read lane heads, push lane tails, never observe a
- * same-cycle write — is exactly what makes any tick order
- * (including a concurrent one) equivalent, so the output is
- * byte-identical at every thread count. When two or more shards
- * run, the cross-thread side effects a tick can have are funnelled
- * through two deferred, fixed-order channels replayed at the phase
- * barrier: link activations (with
+ * participant k every cycle (sim/pool.hh). A traffic driver names
+ * its network interface as its Component::tickAnchor: the two are
+ * cut as one unit and the driver ticks in the interface's shard,
+ * after every member of it, so the driver's hand-offs to its
+ * interface (a send, a wake) stay inside one shard. Everything else
+ * (probes, injectors, cascade groups, and the dynamically *pinned*
+ * ends of corrupt links, which share the link's corruption PRNG,
+ * with the drivers that cannot follow them) ticks in the serial
+ * section, in registration order. Phase 1's contract — read lane
+ * heads, push lane tails, never observe a same-cycle write — is
+ * exactly what makes any tick order (including a concurrent one)
+ * equivalent, so the output is byte-identical at every thread
+ * count. When two or more shards run, the cross-thread side effects
+ * a tick can have are funnelled through three deferred, fixed-order
+ * channels replayed at the phase barrier: link activations (with
  * their wakes; a wake applied at the barrier is byte-equivalent to
  * one applied mid-phase, since mid-cycle wakes always resume at
- * now+1 and count the cycle skipped) and the skipped-tick /
- * sleep-candidate tallies (per-shard accumulation, folded in shard
- * order; sums commute, so every engine counter is thread-count
- * invariant). A component's own counters need no channel: it writes
- * only its own state. A lone live shard (always the case at one
- * thread) runs on the caller with nothing deferred: its wakes apply
- * inline and its sleep candidates go straight to the sleep pass,
- * the same result on either side of the barrier. Phase 2 reuses
- * the same pool over contiguous,
- * even-aligned lane ranges of the arena
+ * now+1 and count the cycle skipped), staged ledger records
+ * (Component::stageForFold: a send stages its record and the
+ * barrier creates them in shard order — the drivers' registration
+ * order, the order a serial loop gives the ids, which rebuildPlan
+ * preserves) and the skipped-tick / sleep-candidate tallies
+ * (per-shard accumulation, folded in shard order; sums commute, so
+ * every engine counter is thread-count invariant). A component's
+ * own counters need no channel: it writes only its own state. When
+ * at most one shard has awake members (always the case at one
+ * thread), the live shards run on the caller in shard order with
+ * nothing deferred: wakes apply inline, sends create their records
+ * at once and sleep candidates go straight to the sleep pass, the
+ * same result on either side of the barrier.
+ * Phase 2 reuses the same pool over contiguous, even-aligned lane
+ * ranges of the arena
  * (LaneArena::advanceRange) with per-chunk census charges and
  * drained-lane reports folded at the barrier in chunk order —
  * ascending lane order, identical to one whole-arena pass.
  * Quiescence composes: a shard all of whose members sleep *parks* —
- * the cycle is accounted in bulk and no work is dispatched for it.
+ * the members' cycle is accounted in bulk, only the shard's
+ * followers (drivers, which never sleep) tick.
  *
  * Self-profile (setProfiling(true); off by default, one branch per
  * phase when off): wall-clock time per phase of the sharded cycle —
@@ -404,11 +414,23 @@ class Engine : public Scheduler
         return shards_.size();
     }
 
-    /** Components in shard k. */
+    /** Components in shard k, followers included. */
     std::size_t
     shardMembers(std::size_t k)
     {
-        return shards_.at(k).members;
+        return shards_.at(k).members + shards_.at(k).followerCount;
+    }
+
+    /** Components ticked in the serial section. */
+    std::size_t
+    serialMembers()
+    {
+        if (planDirty_)
+            rebuildPlan();
+        std::size_t n = 0;
+        for (const TickRun &run : serialRuns_)
+            n += run.count;
+        return n;
     }
 
     /** Summed Component::tickCost of shard k's members. */
@@ -419,18 +441,22 @@ class Engine : public Scheduler
     }
 
     /** Registration-order sub-ranges [begin, begin+count) that make
-     *  up shard k. */
+     *  up shard k, members' then followers'. */
     std::vector<std::pair<std::size_t, std::size_t>>
     shardSlices(std::size_t k)
     {
         std::vector<std::pair<std::size_t, std::size_t>> out;
         for (const TickRun &sl : shards_.at(k).slices)
             out.emplace_back(sl.begin, sl.count);
+        for (const TickRun &sl : shards_.at(k).followers)
+            out.emplace_back(sl.begin, sl.count);
         return out;
     }
 
     /** Every member of shard k is asleep: the next cycle parks the
-     *  shard (bulk-accounted, no worker dispatched). */
+     *  shard's members (bulk-accounted; only followers tick, and no
+     *  worker is dispatched unless two shards have awake
+     *  members). */
     bool
     shardParked(std::size_t k)
     {
@@ -515,12 +541,14 @@ class Engine : public Scheduler
      * Execute exactly one cycle. Structure (see the file comment
      * for why each hand-off preserves byte identity):
      *
-     *   1a. parallel shards tick on the pool (parked shards are
-     *       bulk-accounted instead; a lone live shard ticks on the
-     *       caller with nothing deferred);
+     *   1a. parallel shards tick on the pool (parked members are
+     *       bulk-accounted instead, their followers still tick;
+     *       with at most one shard of awake members, the live
+     *       shards tick on the caller, in shard order, with nothing
+     *       deferred);
      *   1b. barrier: per-shard effects fold in shard order —
      *       skipped tallies, deferred link activations (wakes),
-     *       sleep candidates;
+     *       staged ledger records, sleep candidates;
      *   1c. serial section: non-parallel-safe components tick in
      *       registration order, activations inline;
      *    2. lane advance, chunked across the pool for arenas with
@@ -541,28 +569,37 @@ class Engine : public Scheduler
             sleepCandidates_.clear();
 
         // 1a. Parallel shards, shard k on pool participant k.
-        Shard *only = nullptr;
-        std::size_t live = 0;
+        std::size_t busy = 0;
         for (Shard &s : shards_) {
-            s.live = s.awake != 0;
-            if (!s.live) {
-                // Parked: every member sleeps, so the tick pass
-                // would only count skips — account them in bulk.
+            s.parked = s.awake == 0;
+            if (s.parked) {
+                // Every member sleeps, so their tick pass would
+                // only count skips — account them in bulk. The
+                // followers (drivers) still tick.
                 ticksSkipped_ += s.members;
                 ++shardCyclesParked_;
-                continue;
             }
+            s.live = !s.parked || !s.followers.empty();
+            if (!s.live)
+                continue;
             s.skipped = 0;
             s.candidates.clear();
             s.activations.clear();
-            only = &s;
-            ++live;
+            s.staged.clear();
+            busy += s.parked ? 0 : 1;
         }
-        if (live == 1)
-            runShard(*only, /*alone=*/true);
-        else if (live > 1)
+        if (busy > 1) {
             pool_.run(static_cast<unsigned>(shards_.size()),
                       &shardTask, this);
+        } else {
+            // At most one shard has awake members: tick the live
+            // shards on the caller, in shard order, with nothing
+            // deferred — as one shard would.
+            for (Shard &s : shards_) {
+                if (s.live)
+                    runShard(s, /*alone=*/true);
+            }
+        }
         sw.lap(profile_.parallelNs);
 
         // 1b. Barrier: fold per-shard effects in shard order.
@@ -573,6 +610,8 @@ class Engine : public Scheduler
             ticksSkipped_ += s.skipped;
             for (Link *l : s.activations)
                 l->activate();
+            for (Component *c : s.staged)
+                c->foldStaged();
             if (quiesce_)
                 sleepCandidates_.insert(sleepCandidates_.end(),
                                         s.candidates.begin(),
@@ -684,18 +723,26 @@ class Engine : public Scheduler
     struct alignas(64) Shard
     {
         std::vector<TickRun> slices;
+        /** Followers' slices, ticked after the members'. */
+        std::vector<TickRun> followers;
         std::size_t members = 0;
+        std::size_t followerCount = 0;
         std::uint64_t cost = 0;
-        /** Ticked this cycle (set before dispatch: not parked). */
+        /** Ticked this cycle (set before dispatch: members awake,
+         *  or followers to tick). */
         bool live = false;
-        /** Members currently awake; 0 parks the shard. Maintained
-         *  serially (wakes and sleep transitions never run inside
-         *  the parallel phase). */
+        /** Every member asleep this cycle: they are accounted in
+         *  bulk and only the followers tick. */
+        bool parked = false;
+        /** Members currently awake; 0 parks the members (followers
+         *  never sleep). Maintained serially (wakes and sleep
+         *  transitions never run inside the parallel phase). */
         std::size_t awake = 0;
         /** Per-cycle effects (worker-private until the barrier). @{ */
         std::uint64_t skipped = 0;
         std::vector<Component *> candidates;
         std::vector<Link *> activations;
+        std::vector<Component *> staged; ///< one per stageForFold
         std::uint64_t busyNs = 0; ///< self-profile only
         /** @} */
     };
@@ -759,11 +806,11 @@ class Engine : public Scheduler
     }
 
     /** Run one shard's slices (worker or caller thread). Effects
-     *  that must not race — activations/wakes — are recorded in the
-     *  shard's buffers via the thread-local deferral hook, unless
-     *  the shard runs `alone`: then nothing can race, so wakes
-     *  apply inline and sleep candidates go straight to the sleep
-     *  pass. */
+     *  that must not race — activations/wakes, ledger records — are
+     *  recorded in the shard's buffers via the thread-local
+     *  deferral hooks, unless the shard runs `alone`: then nothing
+     *  can race, so wakes and records apply inline and sleep
+     *  candidates go straight to the sleep pass. */
     void
     runShard(Shard &s, bool alone)
     {
@@ -773,12 +820,19 @@ class Engine : public Scheduler
         if (quiesce_)
             ctx.sleepCandidates =
                 alone ? &sleepCandidates_ : &s.candidates;
-        if (!alone)
+        if (!alone) {
             detail::tlsDeferredActivations = &s.activations;
+            detail::tlsStagedFolds = &s.staged;
+        }
         Component *const *base = components_.data();
-        for (const TickRun &sl : s.slices)
+        if (!s.parked) {
+            for (const TickRun &sl : s.slices)
+                sl.fn(base + sl.begin, sl.count, ctx);
+        }
+        for (const TickRun &sl : s.followers)
             sl.fn(base + sl.begin, sl.count, ctx);
         detail::tlsDeferredActivations = nullptr;
+        detail::tlsStagedFolds = nullptr;
         s.skipped = ctx.skipped;
         s.busyNs = 0;
         sw.lap(s.busyNs);
@@ -816,15 +870,19 @@ class Engine : public Scheduler
      *   1. pin the end components of corrupt links (their reads
      *      draw from the link's shared corruption PRNG, so they
      *      must stay in the serial section to keep draw order);
-     *   2. walk the registration list once, sending non-parallel
-     *      components to the serial runs and collecting the
-     *      parallel ones with their summed tick cost;
-     *   3. cut the parallel members, in registration order, into
+     *   2. collect the parallel *members* — parallel-safe, unpinned
+     *      components without a Component::tickAnchor — and charge
+     *      each parallel-safe follower's tick cost to its anchor,
+     *      so an endpoint and its driver weigh as one unit;
+     *   3. cut the members, in registration order, into
      *      K = min(threads, members) contiguous shards: shard k
-     *      closes at the member boundary whose cumulative cost is
-     *      nearest (k+1)/K of the total, so every shard's cost is
-     *      within one member's cost of total/K;
-     *   4. carve each arena's lanes into even-aligned chunks for
+     *      closes at the member boundary whose cumulative unit cost
+     *      is nearest (k+1)/K of the total, so every shard's cost
+     *      is within one unit's cost of total/K;
+     *   4. walk the registration list once more: components that
+     *      are not members go to the serial runs, except followers,
+     *      which join their anchor's shard after all its members;
+     *   5. carve each arena's lanes into even-aligned chunks for
      *      phase 2.
      */
     void
@@ -842,19 +900,27 @@ class Engine : public Scheduler
             }
         }
 
+        // Until the cut, a member's shard_ holds its member ordinal.
         std::vector<std::size_t> members;
-        std::uint64_t total = 0;
-        serialRuns_.clear();
+        std::vector<std::uint64_t> unitCost;
         for (std::size_t i = 0; i < components_.size(); ++i) {
             Component *c = components_[i];
-            if (c->parallelTickSafe() && pinned_.count(c) == 0) {
-                members.push_back(i);
-                total += c->tickCost();
-                continue;
-            }
             c->shard_ = Component::kNoShard;
-            appendSlice(serialRuns_, c->batchTickFn(), i);
+            if (c->tickAnchor() == nullptr && c->parallelTickSafe() &&
+                pinned_.count(c) == 0) {
+                c->shard_ = static_cast<std::uint32_t>(members.size());
+                members.push_back(i);
+                unitCost.push_back(c->tickCost());
+            }
         }
+        for (Component *c : components_) {
+            const Component *a = c->tickAnchor();
+            if (a != nullptr && isMember(a) && c->parallelTickSafe())
+                unitCost[a->shard_] += c->tickCost();
+        }
+        std::uint64_t total = 0;
+        for (const std::uint64_t cost : unitCost)
+            total += cost;
 
         const std::size_t count =
             std::min<std::size_t>(threads_, members.size());
@@ -863,7 +929,7 @@ class Engine : public Scheduler
         std::size_t k = 0;
         for (std::size_t m = 0; m < members.size(); ++m) {
             Component *c = components_[members[m]];
-            const std::uint64_t cost = c->tickCost();
+            const std::uint64_t cost = unitCost[m];
             // Close shard k before this member when the boundary
             // here is at least as near the shard's target as the
             // one after it — or when only enough members remain to
@@ -872,20 +938,72 @@ class Engine : public Scheduler
                 ((2 * cum + cost) * count >= 2 * total * (k + 1) ||
                  members.size() - m < count - k))
                 ++k;
-            Shard &s = shards_[k];
-            appendSlice(s.slices, c->batchTickFn(), members[m]);
-            ++s.members;
-            s.cost += cost;
-            if (!c->schedAsleep_)
-                ++s.awake;
             c->shard_ = static_cast<std::uint32_t>(k);
+            addToShard(c, members[m], /*follower=*/false);
             cum += cost;
+        }
+
+        serialRuns_.clear();
+        bool followersParallel = true;
+        std::uint32_t lastShard = 0;
+        for (std::size_t i = 0; i < components_.size(); ++i) {
+            Component *c = components_[i];
+            const Component *a = c->tickAnchor();
+            if (a == nullptr) {
+                if (c->shard_ == Component::kNoShard)
+                    appendSlice(serialRuns_, c->batchTickFn(), i);
+                continue;
+            }
+            // Followers share the ledger: their staged sends fold in
+            // shard order, which is their registration order only
+            // while their shards never decrease. From the first
+            // follower that cannot join its anchor's shard in that
+            // order, the rest tick in the serial section — after
+            // every staged send has folded — so ids keep follower
+            // registration order whatever the plan.
+            followersParallel = followersParallel &&
+                                c->parallelTickSafe() && isMember(a) &&
+                                a->shard_ >= lastShard;
+            if (!followersParallel) {
+                appendSlice(serialRuns_, c->batchTickFn(), i);
+                continue;
+            }
+            lastShard = a->shard_;
+            c->shard_ = a->shard_;
+            addToShard(c, i, /*follower=*/true);
         }
 
         if (profiling_)
             planProfileSlots();
         for (ArenaGroup &g : arenaGroups_)
             rebuildChunks(g);
+    }
+
+    /** A parallel member of the plan being built (registered here,
+     *  no anchor of its own, a shard_ assigned). */
+    bool
+    isMember(const Component *c) const
+    {
+        return c->sched_ == this && c->tickAnchor() == nullptr &&
+               c->shard_ != Component::kNoShard;
+    }
+
+    /** Append registration index i (component c, shard_ set) to its
+     *  shard, as a member or as a follower. */
+    void
+    addToShard(Component *c, std::size_t i, bool follower)
+    {
+        Shard &s = shards_[c->shard_];
+        s.cost += c->tickCost();
+        if (follower) {
+            appendSlice(s.followers, c->batchTickFn(), i);
+            ++s.followerCount;
+            return;
+        }
+        appendSlice(s.slices, c->batchTickFn(), i);
+        ++s.members;
+        if (!c->schedAsleep_)
+            ++s.awake;
     }
 
     /** Extend the last slice with component i, or open a new one

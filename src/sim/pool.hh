@@ -32,7 +32,9 @@
  *   about kSpinNs before it parks on a condition variable, since
  *   the engine's next batch is normally microseconds away. It does
  *   not spin at all while the process's pool workers outnumber the
- *   hardware threads: there, spinning would hold the core the
+ *   hardware threads, or while its own recent waits kept running
+ *   out (SpinGovernor — other processes' engines on the same cores
+ *   show up only that way): there, spinning would hold the core the
  *   awaited thread needs. A parking thread announces itself in a
  *   counter the waker reads after publishing (both sequentially
  *   consistent, Dekker style), so a wakeup is never lost.
@@ -69,6 +71,56 @@ class TickPool
     /** How long a waiting thread spins before it parks. */
     static constexpr std::chrono::nanoseconds kSpinNs{100'000};
 
+    /**
+     * Spin-or-park memory of one waiting thread (each worker, and the
+     * caller in run()). A spinning wait is *late* when its spin runs
+     * out — the awaited epoch or acknowledgement came after kSpinNs,
+     * typically because the thread it waits for was descheduled, as
+     * when several processes' engines share the cores. When at least
+     * kLateOf of a thread's last kWindow spinning waits were late, it
+     * parks at once for its next kParkedWaits waits, then spins again
+     * to re-test. On a quiet host the next batch is microseconds
+     * away, and the thread keeps spinning.
+     */
+    class SpinGovernor
+    {
+      public:
+        static constexpr unsigned kWindow = 16;
+        static constexpr unsigned kLateOf = 4;
+        static constexpr unsigned kParkedWaits = 512;
+
+        /** Whether this wait may spin (a wait that may not counts
+         *  one of the parked waits off). */
+        bool
+        maySpin()
+        {
+            if (parkedLeft_ == 0)
+                return true;
+            --parkedLeft_;
+            return false;
+        }
+
+        /** Record how a spinning wait ended. */
+        void
+        spun(bool late)
+        {
+            late_ += late ? 1 : 0;
+            if (++waits_ < kWindow)
+                return;
+            if (late_ >= kLateOf)
+                parkedLeft_ = kParkedWaits;
+            waits_ = late_ = 0;
+        }
+
+        /** Waits left before the next one may spin. */
+        unsigned parkedWaitsLeft() const { return parkedLeft_; }
+
+      private:
+        unsigned waits_ = 0;
+        unsigned late_ = 0;
+        unsigned parkedLeft_ = 0;
+    };
+
     TickPool() = default;
     ~TickPool() { resize(0); }
 
@@ -88,6 +140,9 @@ class TickPool
     {
         return parked_.load(std::memory_order_relaxed);
     }
+
+    /** The caller's spin-or-park memory (introspection for tests). */
+    const SpinGovernor &callerGovernor() const { return callerSpin_; }
 
     /** Set the resident worker count (0 tears the pool down).
      *  Rare (engine thread-count changes); rebuilds the pool. */
@@ -181,22 +236,27 @@ class TickPool
 #endif
     }
 
-    /** Spin until done() or about kSpinNs elapse; true if done. */
+    /** Spin until done() or about kSpinNs elapse, if `gov` lets
+     *  this wait spin; true if done. */
     template <typename Done>
     static bool
-    spinFor(Done done)
+    spinFor(Done done, SpinGovernor &gov)
     {
-        if (!spinAllowed())
+        if (!spinAllowed() || !gov.maySpin())
             return false;
         const auto deadline =
             std::chrono::steady_clock::now() + kSpinNs;
         for (unsigned i = 1;; ++i) {
-            if (done())
+            if (done()) {
+                gov.spun(/*late=*/false);
                 return true;
+            }
             cpuRelax();
             if (i % 64 == 0 &&
-                std::chrono::steady_clock::now() >= deadline)
+                std::chrono::steady_clock::now() >= deadline) {
+                gov.spun(/*late=*/true);
                 return false;
+            }
         }
     }
 
@@ -216,7 +276,7 @@ class TickPool
         const auto done = [&] {
             return acks_.load(std::memory_order_acquire) == want;
         };
-        if (spinFor(done))
+        if (spinFor(done, callerSpin_))
             return;
         // The same handshake as a parking worker's, with acks_ as
         // the published value and callerParked_ as the announcement.
@@ -229,13 +289,14 @@ class TickPool
     void
     workerLoop(unsigned self, std::uint64_t seen)
     {
+        SpinGovernor spin;
         for (;;) {
             const auto ready = [&] {
                 return epoch_.load(std::memory_order_acquire) !=
                            seen ||
                        stop_.load(std::memory_order_acquire);
             };
-            if (!spinFor(ready)) {
+            if (!spinFor(ready, spin)) {
                 // run() bumps the epoch without m_, then reads
                 // parked_; this side bumps parked_, then reads the
                 // epoch. Both are sequentially consistent, so at
@@ -289,6 +350,7 @@ class TickPool
     std::atomic<bool> callerParked_{false};
     std::mutex doneM_;
     std::condition_variable doneCv_;
+    SpinGovernor callerSpin_;
     /** @} */
 
     /** Declared last: the workers use every member above. */

@@ -143,9 +143,54 @@ issueRequest(NetworkInterface *ni, const DestinationGenerator *dests,
 }
 
 /**
+ * Base of the per-endpoint traffic drivers. A driver's tick touches
+ * only its own state, its endpoint (sendIdle, send — which stages
+ * the ledger record while shards run concurrently, see
+ * NetworkInterface::send) and the shared, read-only destination
+ * generator, so it is parallel-safe once it ticks right after its
+ * endpoint, in the endpoint's shard (Component::tickAnchor) — the
+ * same order as a serial loop that ticks every endpoint before any
+ * driver.
+ */
+class EndpointDriver : public Component
+{
+  public:
+    bool parallelTickSafe() const override { return true; }
+
+    /** A driver tick measured 18 ns against a network interface's
+     *  168 ns on the saturated 1024-endpoint network (engine
+     *  self-profile, one thread): under half of one cost unit, so a
+     *  driver adds nothing to its endpoint's unit. */
+    std::uint32_t tickCost() const override { return 0; }
+
+    Component *tickAnchor() const override { return ni_; }
+
+    /** Logical requests submitted so far (a K-leg fan-out counts
+     *  once). */
+    std::uint64_t submitted() const { return submitted_; }
+
+  protected:
+    EndpointDriver(std::string name, NetworkInterface *ni,
+                   const DestinationGenerator *dests,
+                   const DriverConfig &config, std::uint64_t seed)
+        : Component(std::move(name)), ni_(ni), dests_(dests),
+          config_(config), rng_(seed)
+    {}
+
+    /** One logical request (see issueRequest). */
+    void issue() { issueRequest(ni_, dests_, config_, rng_, submitted_); }
+
+    NetworkInterface *ni_;
+    const DestinationGenerator *dests_;
+    DriverConfig config_;
+    Xoshiro256 rng_;
+    std::uint64_t submitted_ = 0;
+};
+
+/**
  * Closed-loop (stall-on-completion) driver for one endpoint.
  */
-class ClosedLoopDriver : public Component
+class ClosedLoopDriver : public EndpointDriver
 {
   public:
     /**
@@ -160,9 +205,9 @@ class ClosedLoopDriver : public Component
                      const DestinationGenerator *dests,
                      const DriverConfig &config, unsigned think_time,
                      std::uint64_t seed)
-        : Component("driver" + std::to_string(ni->nodeId())),
-          ni_(ni), dests_(dests), config_(config),
-          thinkTime_(think_time), rng_(seed)
+        : EndpointDriver("driver" + std::to_string(ni->nodeId()), ni,
+                         dests, config, seed),
+          thinkTime_(think_time)
     {}
 
     void
@@ -193,11 +238,8 @@ class ClosedLoopDriver : public Component
         if (cycle < nextSubmit_)
             return;
 
-        issueRequest(ni_, dests_, config_, rng_, submitted_);
+        issue();
     }
-
-    /** Messages submitted so far. */
-    std::uint64_t submitted() const { return submitted_; }
 
   private:
     friend class CheckpointIO;
@@ -209,14 +251,9 @@ class ClosedLoopDriver : public Component
         return &Component::batchTickOf<ClosedLoopDriver>;
     }
 
-    NetworkInterface *ni_;
-    const DestinationGenerator *dests_;
-    DriverConfig config_;
     unsigned thinkTime_;
-    Xoshiro256 rng_;
     Cycle nextSubmit_ = 0;
     bool waiting_ = false;
-    std::uint64_t submitted_ = 0;
 };
 
 /**
@@ -224,16 +261,15 @@ class ClosedLoopDriver : public Component
  * each cycle whether to inject. Messages queue in the NI when
  * injection falls behind.
  */
-class OpenLoopDriver : public Component
+class OpenLoopDriver : public EndpointDriver
 {
   public:
     OpenLoopDriver(NetworkInterface *ni,
                    const DestinationGenerator *dests,
                    const DriverConfig &config, double inject_prob,
                    std::uint64_t seed)
-        : Component("odriver" + std::to_string(ni->nodeId())),
-          ni_(ni), dests_(dests), config_(config),
-          injectProb_(inject_prob), rng_(seed),
+        : EndpointDriver("odriver" + std::to_string(ni->nodeId()), ni,
+                         dests, config, seed),
           process_(config.process, inject_prob)
     {}
 
@@ -244,11 +280,8 @@ class OpenLoopDriver : public Component
             return;
         if (!process_.step(rng_))
             return;
-        issueRequest(ni_, dests_, config_, rng_, submitted_);
+        issue();
     }
-
-    /** Messages submitted so far. */
-    std::uint64_t submitted() const { return submitted_; }
 
   private:
     friend class CheckpointIO;
@@ -260,13 +293,7 @@ class OpenLoopDriver : public Component
         return &Component::batchTickOf<OpenLoopDriver>;
     }
 
-    NetworkInterface *ni_;
-    const DestinationGenerator *dests_;
-    DriverConfig config_;
-    double injectProb_;
-    Xoshiro256 rng_;
     InjectionProcess process_;
-    std::uint64_t submitted_ = 0;
 };
 
 } // namespace metro

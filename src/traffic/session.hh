@@ -14,8 +14,8 @@
  * order each tick (arrival coin first, then per-due-session
  * submission + gap jitter, in session-creation order), so the
  * byte-identity contract across engine-thread counts holds — the
- * driver runs in the engine's pinned serial section like the other
- * drivers.
+ * driver ticks in its endpoint's shard like the other drivers (see
+ * EndpointDriver).
  */
 
 #ifndef METRO_TRAFFIC_SESSION_HH
@@ -37,16 +37,16 @@ namespace metro
 /**
  * Per-endpoint session-arrival driver.
  */
-class SessionDriver : public Component
+class SessionDriver : public EndpointDriver
 {
   public:
     SessionDriver(NetworkInterface *ni,
                   const DestinationGenerator *dests,
                   const DriverConfig &config,
                   const SessionModelConfig &session, std::uint64_t seed)
-        : Component("sdriver" + std::to_string(ni->nodeId())),
-          ni_(ni), dests_(dests), config_(config), scfg_(session),
-          rng_(seed)
+        : EndpointDriver("sdriver" + std::to_string(ni->nodeId()), ni,
+                         dests, config, seed),
+          scfg_(session)
     {}
 
     void
@@ -78,7 +78,7 @@ class SessionDriver : public Component
         for (std::size_t k = 0; k < sessions_.size(); ++k) {
             Session s = sessions_[k];
             if (cycle >= s.nextAt && s.remaining > 0) {
-                issueRequest(ni_, dests_, config_, rng_, submitted_);
+                issue();
                 --s.remaining;
                 unsigned gap = scfg_.gap;
                 if (gap >= 4) {
@@ -95,9 +95,6 @@ class SessionDriver : public Component
         }
         sessions_.resize(live);
     }
-
-    /** Messages submitted so far. */
-    std::uint64_t submitted() const { return submitted_; }
 
     /** Sessions started / shed at the maxActive cap / live now. @{ */
     std::uint64_t sessionsStarted() const { return sessionsStarted_; }
@@ -120,13 +117,8 @@ class SessionDriver : public Component
         return &Component::batchTickOf<SessionDriver>;
     }
 
-    NetworkInterface *ni_;
-    const DestinationGenerator *dests_;
-    DriverConfig config_;
     SessionModelConfig scfg_;
-    Xoshiro256 rng_;
     std::vector<Session> sessions_;
-    std::uint64_t submitted_ = 0;
     std::uint64_t sessionsStarted_ = 0;
     std::uint64_t sessionsShed_ = 0;
 };

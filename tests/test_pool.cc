@@ -9,6 +9,10 @@
  * batch, and workers created by a resize start at the current epoch
  * rather than replaying the last batch.
  *
+ * The waits: a thread whose waits keep outlasting its spin (the
+ * awaited thread descheduled, as on an oversubscribed host) parks
+ * at once for a while, then spins again.
+ *
  * The lifecycle: tearing the pool down while every worker is parked
  * on the epoch condition variable, and resizing it between
  * campaigns — the paths a long-lived serve process takes when the
@@ -183,6 +187,58 @@ TEST(Pool, WorkersParkWhenIdleAndWakeForTheNextBatch)
     }
     pool.run(8, &bump, &c);
     EXPECT_EQ(c.calls.load(), expected + 8);
+}
+
+TEST(Pool, SpinGovernorParksAfterLateWaitsThenReArms)
+{
+    using Gov = TickPool::SpinGovernor;
+    Gov gov;
+    // Waits that end while spinning keep it spinning, and so does a
+    // window with one late wait too few.
+    for (unsigned i = 0; i < 4 * Gov::kWindow; ++i) {
+        ASSERT_TRUE(gov.maySpin());
+        gov.spun(i % Gov::kWindow < Gov::kLateOf - 1);
+    }
+    // A window with kLateOf late waits parks the next kParkedWaits
+    // waits at once...
+    for (unsigned i = 0; i < Gov::kWindow; ++i) {
+        ASSERT_TRUE(gov.maySpin());
+        gov.spun(i < Gov::kLateOf);
+    }
+    for (unsigned i = 0; i < Gov::kParkedWaits; ++i)
+        EXPECT_FALSE(gov.maySpin()) << "wait " << i;
+    // ...then the thread spins again to re-test.
+    EXPECT_TRUE(gov.maySpin());
+}
+
+/** Task 1 outlasts the caller's spin; task 0 returns at once. */
+void
+slowSecondTask(void *ctx, unsigned i)
+{
+    if (i == 1)
+        std::this_thread::sleep_for(2 * TickPool::kSpinNs);
+    bump(ctx, i);
+}
+
+TEST(Pool, CallerStopsSpinningWhileItsWaitsRunLate)
+{
+    Counter c;
+    TickPool pool;
+    pool.resize(1);
+    using Gov = TickPool::SpinGovernor;
+    // Every acknowledgement comes after the caller's spin ran out,
+    // as when the worker is descheduled: after one window the caller
+    // parks at once.
+    for (unsigned k = 0; k < Gov::kWindow; ++k)
+        pool.run(2, &slowSecondTask, &c);
+    EXPECT_EQ(pool.callerGovernor().parkedWaitsLeft(),
+              Gov::kParkedWaits);
+    // Parked waits still complete every batch, and count down to
+    // spinning again.
+    for (unsigned k = 0; k < Gov::kParkedWaits; ++k)
+        pool.run(2, &bump, &c);
+    EXPECT_EQ(pool.callerGovernor().parkedWaitsLeft(), 0u);
+    EXPECT_EQ(c.calls.load(), 2 * (Gov::kWindow + Gov::kParkedWaits));
 }
 
 TEST(Pool, DestructionWhileWorkersParked)

@@ -183,7 +183,7 @@ TEST(Retire, AuditBreachStopsServe)
 TEST(RetireDeathTest, LookingUpARetiredIdAborts)
 {
     MessageTracker tracker;
-    const auto id = tracker.create(0, 1, {1, 2}, 0, false, 0);
+    const auto id = tracker.add(MessageRecord{});
     auto &rec = tracker.record(id);
     rec.succeeded = true;
     rec.deliveredCount = 1;

@@ -324,6 +324,47 @@ TEST(Serve, RestoreAcrossEngineThreadCounts)
     }
 }
 
+/**
+ * Without a diagnosis engine the endpoints stay parallel-safe, so at
+ * two or more engine threads every driver ticks in its endpoint's
+ * shard and its sends stage their ledger records until the phase
+ * barrier (the campaign's corrupt spells send some drivers back to
+ * the serial section while they last). The JSONL stream, the ledger
+ * and the metrics match the one-thread run, also across a checkpoint
+ * written at four threads and restored at one, and the reverse.
+ */
+TEST(Serve, StagedIdsByteIdenticalAcrossThreadCounts)
+{
+    BuildOpts serial;
+    serial.withCampaign = true;
+    serial.withProbe = true;
+    const ServeOutcome reference = runUninterrupted(0x57A6, serial);
+    for (unsigned threads : {2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        BuildOpts b = serial;
+        b.threads = threads;
+        const ServeOutcome full = runUninterrupted(0x57A6, b);
+        EXPECT_EQ(reference.windows, full.windows);
+        EXPECT_EQ(reference.ledger, full.ledger);
+        EXPECT_EQ(reference.metrics, full.metrics);
+        EXPECT_EQ(reference.traceTail, full.traceTail);
+    }
+    const std::pair<unsigned, unsigned> cuts[] = {{4, 1}, {1, 4}};
+    for (const auto &[saveT, restoreT] : cuts) {
+        SCOPED_TRACE("save " + std::to_string(saveT) + " restore " +
+                     std::to_string(restoreT));
+        BuildOpts save = serial, restore = serial;
+        save.threads = saveT;
+        restore.threads = restoreT;
+        const ServeOutcome resumed = runWithRestart(
+            0x57A6, save, restore,
+            tempCheckpointPath("metro_serve_staged" +
+                               std::to_string(saveT) + "_" +
+                               std::to_string(restoreT) + ".ckpt"));
+        expectResumeMatches(reference, resumed);
+    }
+}
+
 TEST(Serve, RestoreRejectsDigestMismatch)
 {
     const auto path =
