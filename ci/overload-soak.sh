@@ -6,11 +6,11 @@
 # compile), then:
 #   1. runs the retry/backoff/admission/aging tests, including the
 #      per-policy thread-count determinism sweep, under TSan;
-#   2. runs the congestion_collapse bench across an oversubscribed
-#      worker pool, which both soaks the parallel sweep runner past
-#      saturation and enforces the stability criterion (>= 80% of
-#      peak goodput at 2x the saturating injection rate with
-#      exponential backoff + retry budget);
+#   2. runs experiments/congestion_collapse.ini across a worker per
+#      core, which both soaks the parallel sweep runner past
+#      saturation and checks the file's stability claim (>= 80% of
+#      peak goodput at the point after the peak, 2x the saturating
+#      injection rate, with exponential backoff + retry budget);
 #   3. drives one bursty-MMPP overload point with heavy-tailed
 #      (bounded-Pareto) message sizes and RPC fan-out through the
 #      CLI — the service-level workload path under TSan at 4x the
@@ -27,10 +27,11 @@ cmake -B "$BUILD" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMETRO_TSAN=ON
 cmake --build "$BUILD" -j "$(nproc)" \
-    --target metro_tests congestion_collapse metro_sim
+    --target metro_tests metro_sim
 ctest --test-dir "$BUILD" --output-on-failure \
     -R 'Backoff|Retry|Admission|InflightGate|Workload'
-"$BUILD"/bench/congestion_collapse --threads="$(nproc)"
+"$BUILD"/tools/metro_sim --sweep-file=experiments/congestion_collapse.ini \
+    --threads="$(nproc)" > /dev/null
 "$BUILD"/tools/metro_sim --topology=fig1 --mode=open \
     --inject=0.16 --process=mmpp --burst-ratio=8 \
     --size-dist=pareto --size-min=4 --size-max=64 \

@@ -261,16 +261,49 @@ pointKnobs()
 
 bool
 applySweepText(const std::string &text, const std::string &base_dir,
-               SweepConfig &config, std::string &error)
+               SweepConfig &config, SweepSections &sections,
+               std::string &error)
 {
+    bool in_claims = false;
     return forEachTextLine(text, error, [&](const TextLine &line) {
-        if (line.section)
-            return std::string("expected key = value");
+        if (line.section) {
+            in_claims = line.key == "claims";
+            if (in_claims)
+                return std::string();
+            const auto words = splitWords(line.key);
+            if (words.size() != 2 || words[0] != "run")
+                return "unknown section: [" + line.key +
+                       "] (expected [run NAME] or [claims])";
+            const std::string &name = words[1];
+            if (!isRunName(name))
+                return "bad run name: " + name;
+            for (const SweepRun &run : sections.runs)
+                if (run.name == name)
+                    return "duplicate run: " + name;
+            sections.runs.push_back({name, config});
+            return std::string();
+        }
+        if (in_claims) {
+            Claim claim;
+            const std::string reason = parseClaim(line, claim);
+            for (const Claim &c : sections.claims)
+                if (c.name == claim.name)
+                    return "duplicate claim: " + claim.name;
+            sections.claims.push_back(std::move(claim));
+            return reason;
+        }
+        const bool in_run = !sections.runs.empty();
+        if (in_run && (line.key == "seed" || line.key == "threads" ||
+                       line.key == "engineThreads"))
+            return line.key + " is sweep-wide: set it before the first "
+                              "section";
         const Knob<SweepConfig> *k = findKnob(pointKnobs(), line.key);
         const bool relative = k != nullptr && k->arg == "PATH" &&
                               !base_dir.empty() &&
                               line.value.find('/') != 0;
-        return applyKnobLine(pointKnobs(), config, line.key,
+        return applyKnobLine(pointKnobs(),
+                             in_run ? sections.runs.back().config : config,
+                             line.key,
                              relative ? base_dir + "/" + line.value
                                       : line.value);
     });
@@ -394,6 +427,43 @@ expandPoints(const SweepConfig &c, std::string &error)
                 }
             }
         }
+    }
+    return points;
+}
+
+std::optional<std::vector<SweepPoint>>
+expandSweep(const SweepConfig &shared, const SweepSections &sections,
+            std::string &error)
+{
+    // No runs: the shared keys are the one run, with no prefix.
+    const std::vector<SweepRun> whole = {{"", shared}};
+    std::vector<SweepPoint> points;
+    for (const SweepRun &run : sections.runs.empty() ? whole
+                                                     : sections.runs) {
+        auto run_points = expandPoints(run.config, error);
+        if (!run_points.has_value()) {
+            error = (run.name.empty() ? "" : "run " + run.name + ": ") +
+                    error;
+            return std::nullopt;
+        }
+        if (points.size() + run_points->size() > kMaxSweepPoints) {
+            error = "sweep too large: its runs exceed " +
+                    std::to_string(kMaxSweepPoints) + " points";
+            return std::nullopt;
+        }
+        for (SweepPoint &p : *run_points) {
+            if (!run.name.empty())
+                p.label = run.name + "/" + p.label;
+            points.push_back(std::move(p));
+        }
+    }
+    std::vector<std::string> labels;
+    for (const SweepPoint &p : points)
+        labels.push_back(p.label);
+    for (const Claim &claim : sections.claims) {
+        error = resolveClaim(claim, labels);
+        if (!error.empty())
+            return std::nullopt;
     }
     return points;
 }

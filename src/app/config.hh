@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "app/claim.hh"
 #include "app/faultfile.hh"
 #include "app/knob.hh"
 #include "network/fattree.hh"
@@ -122,12 +123,29 @@ struct SweepConfig
 /** The point knob table (sweep-file keys; CLI flags in kebab case). */
 const std::vector<Knob<SweepConfig>> &pointKnobs();
 
+/** A sweep file's `[run NAME]` section: the shared keys with the
+ *  section's lines applied on top. */
+struct SweepRun
+{
+    std::string name;
+    SweepConfig config;
+};
+
+/** What a sweep file holds after its shared keys. */
+struct SweepSections
+{
+    std::vector<SweepRun> runs;
+    std::vector<Claim> claims;
+};
+
 /**
- * Apply a sweep document's `key = value` lines to `config`. PATH
- * values resolve against `base_dir` unless absolute.
+ * Apply a sweep document's `key = value` lines to `config`, and the
+ * lines after a `[run NAME]` or `[claims]` header to `sections`.
+ * PATH values resolve against `base_dir` unless absolute.
  */
 bool applySweepText(const std::string &text, const std::string &base_dir,
-                    SweepConfig &config, std::string &error);
+                    SweepConfig &config, SweepSections &sections,
+                    std::string &error);
 
 /**
  * Build one point's isolated instance: the network, then a
@@ -147,6 +165,15 @@ SweepInstance buildInstance(const NetworkRecipe &recipe,
  */
 std::optional<std::vector<SweepPoint>>
 expandPoints(const SweepConfig &config, std::string &error);
+
+/**
+ * Expand every run of `sections` in file order, labels prefixed
+ * `NAME/` (or `shared` alone when there are no runs), then check
+ * every claim's references against the labels.
+ */
+std::optional<std::vector<SweepPoint>>
+expandSweep(const SweepConfig &shared, const SweepSections &sections,
+            std::string &error);
 
 } // namespace metro
 

@@ -181,10 +181,10 @@ rerunLastPoint(const std::vector<SweepPoint> &points, const Options &opts,
 }
 
 std::vector<SweepPoint>
-pointsOrDie(const SweepConfig &config)
+pointsOrDie(const SweepConfig &config, const SweepSections &sections = {})
 {
     std::string error;
-    auto points = expandPoints(config, error);
+    auto points = expandSweep(config, sections, error);
     if (!points.has_value())
         METRO_FATAL("%s", error.c_str());
     return std::move(*points);
@@ -384,11 +384,13 @@ parseOptions(int argc, const char *const *argv, std::string &error)
                             slash == std::string::npos
                                 ? ""
                                 : path.substr(0, slash),
-                            opts.config, error)) {
+                            opts.config, opts.sections, error)) {
             error = "--sweep-file: " + error;
             return std::nullopt;
         }
     }
+    // Point flags apply to the shared keys and again over each run.
+    std::vector<std::pair<const Knob<SweepConfig> *, std::string>> flags;
     for (const auto &raw : opts.rawArgs) {
         const auto eq = raw.find('=');
         const std::string flag = raw.substr(0, eq);
@@ -417,11 +419,17 @@ parseOptions(int argc, const char *const *argv, std::string &error)
                     reason + ")";
             return std::nullopt;
         }
+        if (point != nullptr)
+            flags.emplace_back(point, value);
     }
+    for (SweepRun &run : opts.sections.runs)
+        for (const auto &[knob, value] : flags)
+            knob->set(run.config, value);
 
-    // Reject inconsistent retry and workload knobs with a
-    // parser-grade message rather than a mid-build assertion.
-    if (!expandPoints(opts.config, error).has_value())
+    // Reject inconsistent retry and workload knobs, and claims that
+    // name no point, with a parser-grade message rather than a
+    // mid-build assertion.
+    if (!expandSweep(opts.config, opts.sections, error).has_value())
         return std::nullopt;
     // Like a fault target, a drained router must exist: the drain
     // would otherwise fail an assertion when its window comes.
@@ -440,6 +448,9 @@ parseOptions(int argc, const char *const *argv, std::string &error)
         }
     }
     const std::pair<bool, const char *> conflicts[] = {
+        {opts.serve && !opts.sections.runs.empty(),
+         "--serve runs one network: drop the sweep file's [run] "
+         "sections"},
         {opts.serve && opts.config.mode == SweepMode::Session,
          "--serve does not support --mode=session yet (session drivers "
          "are not checkpointable)"},
@@ -466,26 +477,6 @@ parseOptions(int argc, const char *const *argv, std::string &error)
         }
     }
     return opts;
-}
-
-unsigned
-threadsFromArgv(int argc, const char *const *argv, unsigned fallback)
-{
-    for (int k = 1; k < argc; ++k) {
-        const std::string arg = argv[k];
-        std::string value;
-        if (arg.rfind("--threads=", 0) == 0)
-            value = arg.substr(10);
-        else if (arg == "--threads" && k + 1 < argc)
-            value = argv[k + 1];
-        else
-            continue;
-        std::uint64_t v;
-        if (!parseU64(value, v))
-            METRO_FATAL("bad --threads value: %s", value.c_str());
-        return static_cast<unsigned>(v);
-    }
-    return fallback;
 }
 
 std::string
@@ -531,7 +522,7 @@ runSupervisedFromOptions(const Options &opts)
 }
 
 std::string
-runFromOptions(const Options &opts)
+runFromOptions(const Options &opts, std::vector<ClaimVerdict> *verdicts)
 {
     if (opts.dot) {
         const std::string &spec = opts.config.network.specPath;
@@ -541,13 +532,15 @@ runFromOptions(const Options &opts)
     if (opts.serve)
         return runServe(opts);
 
-    const auto points = pointsOrDie(opts.config);
+    const auto points = pointsOrDie(opts.config, opts.sections);
     SweepOptions sopts;
     sopts.threads = opts.config.threads;
     sopts.engineThreads = opts.config.engineThreads;
     sopts.profileEngine = opts.timing;
     sopts.stopRequested = [] { return requestedStop(); };
     const auto sweep = runSweep(points, sopts);
+    if (verdicts != nullptr)
+        *verdicts = checkClaims(opts.sections.claims, sweep);
 
     // A sweep file reports the sweep's CSV; the plain command line
     // a table, or with --csv one row per point.

@@ -45,6 +45,10 @@ struct Options
     /** Applied before the rest of the command line. */
     std::string sweepFile;
 
+    /** The sweep file's runs, each with the command line applied
+     *  on top, and its claims. */
+    SweepSections sections;
+
     /** Service mode, checkpoints and maintenance (see
      *  docs/operations.md). @{ */
     bool serve = false;
@@ -108,14 +112,6 @@ std::unique_ptr<ServeSetup> buildServeSetup(const Options &opts);
 const std::vector<Knob<Options>> &runKnobs();
 
 /**
- * The bench binaries' `--threads=N` (or `--threads N`) flag from a
- * raw argv, ignoring everything else; `fallback` when absent. Exits
- * with an error message on a malformed value.
- */
-unsigned threadsFromArgv(int argc, const char *const *argv,
-                         unsigned fallback = 1);
-
-/**
  * Parse argv: `--name=value` for every row of pointKnobs() and
  * runKnobs(), a bare `--name` for switches. A `--sweep-file` is
  * applied first, wherever it appears. On error returns std::nullopt
@@ -128,8 +124,13 @@ std::optional<Options> parseOptions(int argc, const char *const *argv,
  *  the knob tables. */
 std::string usageText();
 
-/** Run what `options` asks for and return the rendered report. */
-std::string runFromOptions(const Options &options);
+/**
+ * Run what `options` asks for and return the rendered report. The
+ * sweep file's claims are checked against the sweep into
+ * `verdicts` when it is given.
+ */
+std::string runFromOptions(const Options &options,
+                           std::vector<ClaimVerdict> *verdicts = nullptr);
 
 /**
  * --supervise entry point: build a SupervisorConfig from the parsed

@@ -10,9 +10,10 @@ parseSweepText(const std::string &text, std::string &error,
                const std::string &base_dir)
 {
     SweepConfig config;
-    if (!applySweepText(text, base_dir, config, error))
+    SweepSections sections;
+    if (!applySweepText(text, base_dir, config, sections, error))
         return std::nullopt;
-    auto points = expandPoints(config, error);
+    auto points = expandSweep(config, sections, error);
     if (!points.has_value())
         return std::nullopt;
     SweepFile out;

@@ -13,7 +13,9 @@
  * The keys are the point knobs of app/config.hh; each is also a
  * metro_sim flag in kebab case (`messageWords` is
  * `--message-words`). Unknown keys are errors; omitted keys keep
- * their defaults.
+ * their defaults. `[run NAME]` sections override keys for their
+ * own points, and a `[claims]` section states checks on the
+ * results (app/claim.hh).
  */
 
 #ifndef METRO_APP_SWEEPFILE_HH

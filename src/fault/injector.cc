@@ -59,17 +59,6 @@ FaultInjector::apply(const FaultEvent &event)
 }
 
 std::vector<FaultEvent>
-sampleSurvivableFaults(Network &net, const MultibutterflySpec &spec,
-                       unsigned router_faults, unsigned link_faults,
-                       Cycle at, std::uint64_t seed,
-                       unsigned max_tries)
-{
-    (void)spec; // the network's own path oracle is authoritative
-    return sampleSurvivableFaults(net, router_faults, link_faults,
-                                  at, seed, max_tries);
-}
-
-std::vector<FaultEvent>
 sampleSurvivableFaults(Network &net, unsigned router_faults,
                        unsigned link_faults, Cycle at,
                        std::uint64_t seed, unsigned max_tries)

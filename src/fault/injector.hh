@@ -105,14 +105,6 @@ sampleSurvivableFaults(Network &net, unsigned router_faults,
                        unsigned link_faults, Cycle at,
                        std::uint64_t seed, unsigned max_tries = 64);
 
-/** Back-compat shim: the spec is no longer consulted (the network's
- *  own path oracle is); kept so existing callers compile. */
-std::vector<FaultEvent>
-sampleSurvivableFaults(Network &net, const MultibutterflySpec &spec,
-                       unsigned router_faults, unsigned link_faults,
-                       Cycle at, std::uint64_t seed,
-                       unsigned max_tries = 64);
-
 } // namespace metro
 
 #endif // METRO_FAULT_INJECTOR_HH

@@ -105,6 +105,11 @@ runExperiment(Network &net, const ExperimentConfig &config,
     for (const auto &[id, rec] : net.tracker().all()) {
         if (id < first_id)
             continue; // a previous experiment's message
+        METRO_ASSERT(rec.deliveredCount <= 1,
+                     "exactly-once breached: message %llu delivered "
+                     "%u times",
+                     static_cast<unsigned long long>(id),
+                     rec.deliveredCount);
         if (rec.rpcFanout > 0 && rec.rpcGroup != 0) {
             auto &g = rpc_groups[rec.rpcGroup];
             g.firstSubmit = std::min(g.firstSubmit, rec.submitCycle);

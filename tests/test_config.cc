@@ -100,31 +100,70 @@ TEST(Config, SweepFileFirstThenTheCommandLine)
 
     // Fault knobs that were command-line only now work in files.
     SweepConfig fromFile;
+    SweepSections sections;
     ASSERT_TRUE(applySweepText("topology = fig3\nrouterFaults = 2\n"
                                "linkFaults = 3\nfaultCycle = 100\n",
-                               "", fromFile, error))
+                               "", fromFile, sections, error))
         << error;
     EXPECT_EQ(fromFile.network.routerFaults, 2u);
     EXPECT_EQ(fromFile.network.linkFaults, 3u);
     EXPECT_EQ(fromFile.network.faultCycle, 100u);
 
     // Command-line-only rows are not sweep-file keys.
-    EXPECT_FALSE(applySweepText("csv = true\n", "", fromFile, error));
+    EXPECT_FALSE(
+        applySweepText("csv = true\n", "", fromFile, sections, error));
     EXPECT_NE(error.find("line 1"), std::string::npos);
 }
 
-/** A sweep file's lines as the equivalent command-line flags. */
-std::vector<std::string>
-sweepFileAsFlags(const std::string &path)
+TEST(Config, CommandLineOverridesEveryRun)
+{
+    std::string error;
+    const auto opts = parseArgs(
+        {"--sweep-file=" + corpusPath("sweepfile/valid_runs_claims.sweep"),
+         "--measure=500", "--backoff-max=9"},
+        error);
+    ASSERT_TRUE(opts.has_value()) << error;
+    const auto &runs = opts->sections.runs;
+    ASSERT_EQ(runs.size(), 2u);
+    for (const SweepRun &run : runs) {
+        EXPECT_EQ(run.config.experiment.measure, 500u) << run.name;
+        EXPECT_EQ(run.config.network.retry.backoffMax, 9u) << run.name;
+    }
+    // A run's own key holds where the command line is silent.
+    EXPECT_EQ(runs[0].config.think, (std::vector<unsigned>{200, 0}));
+    EXPECT_EQ(runs[1].config.think, (std::vector<unsigned>{400, 0}));
+}
+
+/**
+ * A sweep file's lines as the equivalent command-line flags: the
+ * shared keys first, then, for each `[run]`, the shared keys and the
+ * run's. PATH values resolve against the file's directory, as the
+ * file resolves them.
+ */
+std::vector<std::vector<std::string>>
+sweepFileAsFlags(const std::filesystem::path &path)
 {
     std::string text, error;
-    EXPECT_TRUE(readTextFile(path, text, error)) << error;
-    std::vector<std::string> flags;
+    EXPECT_TRUE(readTextFile(path.string(), text, error)) << error;
+    std::vector<std::vector<std::string>> flags(1);
+    bool claims = false;
     EXPECT_TRUE(forEachTextLine(text, error, [&](const TextLine &line) {
+        if (line.section) {
+            claims = line.key == "claims";
+            if (!claims)
+                flags.push_back(flags.front());
+            return std::string();
+        }
+        if (claims)
+            return std::string();
         const Knob<SweepConfig> *k = findKnob(pointKnobs(), line.key);
         if (k == nullptr)
             return "not a point knob: " + line.key;
-        flags.push_back(k->cliFlag() + "=" + line.value);
+        const std::string value =
+            k->arg == "PATH" && line.value.front() != '/'
+                ? (path.parent_path() / line.value).string()
+                : line.value;
+        flags.back().push_back(k->cliFlag() + "=" + value);
         return std::string();
     })) << error;
     return flags;
@@ -150,22 +189,63 @@ dropReplicateAndSeed(const std::string &csv)
     return out;
 }
 
+/** Each `[run]` of the sweep file at `path` parses to the config its
+ *  flag translation parses to, and expands to the same points. */
+void
+expectRunsMatchTheirFlags(const std::filesystem::path &path,
+                          const std::vector<std::vector<std::string>> &flags)
+{
+    std::string error;
+    const auto file = parseArgs({"--sweep-file=" + path.string()}, error);
+    ASSERT_TRUE(file.has_value()) << error;
+    const auto &runs = file->sections.runs;
+    ASSERT_EQ(runs.size() + 1, flags.size());
+    const auto points = expandSweep(file->config, file->sections, error);
+    ASSERT_TRUE(points.has_value()) << error;
+    std::vector<std::string> file_labels, cli_labels;
+    for (const auto &p : *points)
+        file_labels.push_back(p.label);
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        SCOPED_TRACE(runs[k].name);
+        const auto cli = parseArgs(flags[k + 1], error);
+        ASSERT_TRUE(cli.has_value()) << error;
+        EXPECT_EQ(knobsToText(pointKnobs(), runs[k].config),
+                  knobsToText(pointKnobs(), cli->config));
+        const auto cli_points = expandPoints(cli->config, error);
+        ASSERT_TRUE(cli_points.has_value()) << error;
+        for (const auto &p : *cli_points)
+            cli_labels.push_back(runs[k].name + "/" + p.label);
+    }
+    EXPECT_EQ(file_labels, cli_labels);
+}
+
 TEST(Config, CommandLineMatchesEverySweepFile)
 {
     const std::vector<std::string> tail = {"--warmup=200",
                                            "--measure=2000"};
-    const auto dir = std::filesystem::path(corpusPath("sweepfile"));
     std::vector<std::filesystem::path> files;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(corpusPath("sweepfile"))))
         if (entry.path().filename().string().rfind("valid_", 0) == 0)
+            files.push_back(entry.path());
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(METRO_TEST_DATA_DIR).parent_path() /
+             "experiments"))
+        if (entry.path().extension() == ".ini")
             files.push_back(entry.path());
     std::sort(files.begin(), files.end());
     ASSERT_FALSE(files.empty());
     for (const auto &path : files) {
         SCOPED_TRACE(path.string());
+        const auto flags = sweepFileAsFlags(path);
+        // A file with runs: each run against its own translation.
+        if (flags.size() > 1) {
+            expectRunsMatchTheirFlags(path, flags);
+            continue;
+        }
         std::vector<std::string> file_args = {"--sweep-file=" +
                                               path.string()};
-        std::vector<std::string> cli_args = sweepFileAsFlags(path);
+        std::vector<std::string> cli_args = flags.front();
         file_args.insert(file_args.end(), tail.begin(), tail.end());
         cli_args.insert(cli_args.end(), tail.begin(), tail.end());
 
@@ -421,8 +501,10 @@ TEST(Config, IntegerValuesAreDecimalDigitsOnly)
     }
 
     SweepConfig config;
+    SweepSections sections;
     std::string error;
-    EXPECT_FALSE(applySweepText("warmup = -5\n", ".", config, error));
+    EXPECT_FALSE(
+        applySweepText("warmup = -5\n", ".", config, sections, error));
     EXPECT_FALSE(parseSpecText("seed = -1\n", error).has_value());
     EXPECT_FALSE(
         parseFaultText("fault = -10 linkDead 0\n", error).has_value());

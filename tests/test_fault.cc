@@ -61,7 +61,7 @@ TEST(FaultInjector, SurvivableSampleKeepsConnectivity)
     const auto spec = fig3Spec(3);
     auto net = buildMultibutterfly(spec);
     const auto events = sampleSurvivableFaults(
-        *net, spec, /*routers=*/4, /*links=*/12, /*at=*/0,
+        *net, /*routers=*/4, /*links=*/12, /*at=*/0,
         /*seed=*/11);
     EXPECT_EQ(events.size(), 16u);
 
@@ -79,9 +79,9 @@ TEST(FaultInjector, SamplingIsDeterministic)
     const auto spec = fig3Spec(4);
     auto net = buildMultibutterfly(spec);
     const auto a =
-        sampleSurvivableFaults(*net, spec, 3, 5, 100, 7);
+        sampleSurvivableFaults(*net, 3, 5, 100, 7);
     const auto b =
-        sampleSurvivableFaults(*net, spec, 3, 5, 100, 7);
+        sampleSurvivableFaults(*net, 3, 5, 100, 7);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t k = 0; k < a.size(); ++k) {
         EXPECT_EQ(a[k].target, b[k].target);
@@ -94,7 +94,7 @@ TEST(FaultInjector, TrialApplicationIsReverted)
 {
     const auto spec = fig3Spec(5);
     auto net = buildMultibutterfly(spec);
-    sampleSurvivableFaults(*net, spec, 4, 8, 0, 9);
+    sampleSurvivableFaults(*net, 4, 8, 0, 9);
     // Nothing stays faulted after sampling.
     for (RouterId r = 0; r < net->numRouters(); ++r)
         EXPECT_FALSE(net->router(r).dead());

@@ -4,9 +4,10 @@
  *
  * Measures the simulation engine's cycles-per-second on three
  * representative Figure 3 workloads — saturated closed-loop traffic
- * (the micro_router steady state), the idle-heavy low-load point of
- * the fig3 load–latency sweep (think time 2000), and a statically
- * faulted network from the fault_degradation sweep — each with the
+ * (the saturated-cycle case of metrobench/micro.cc), the idle-heavy
+ * low-load point of experiments/fig3_load_latency.ini (think time
+ * 2000), and a statically faulted network from
+ * experiments/fault_degradation.ini — each with the
  * quiescence scheduler off (the original eager loop) and on; plus
  * the sharded parallel engine on a saturated 1024-endpoint,
  * 5-stage network (mb1024Spec) at 1, 2 and 4 engine threads,
@@ -66,14 +67,14 @@ struct Scenario
 };
 
 const Scenario kScenarios[] = {
-    // micro_router's BM_SaturatedNetworkCycle steady state: every
+    // metrobench/micro.cc's saturated-cycle steady state: every
     // endpoint driving flat out. The scheduler finds little to skip
     // here; this scenario guards against hot-path overhead.
     {"micro_saturated", 0, 0, 0},
-    // The low-load end of fig3_load_latency (think=2000): routers
+    // The low-load end of fig3_load_latency.ini (think=2000): routers
     // are overwhelmingly quiescent, the scheduler's headline case.
     {"fig3_low_load", 2000, 0, 0},
-    // fault_degradation's heavier static point: dead routers and
+    // fault_degradation.ini's static/r4l16 run: dead routers and
     // links leave permanently skippable regions under load.
     {"fault_degradation", 0, 4, 16},
 };

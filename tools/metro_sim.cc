@@ -8,6 +8,10 @@
  *   metro_sim --topology=fig3 --router-faults=4 --fault-cycle=5000
  *   metro_sim --topology=fig1 --serve --window=1024 \
  *       --checkpoint-out=ckpt.metro --checkpoint-at=8192
+ *   metro_sim --sweep-file=experiments/ablation_fast_reclaim.ini
+ *
+ * A sweep file's claims print one verdict each on stderr; any miss
+ * exits 1, a malformed claim (like any bad option) exits 2.
  *
  * SIGINT/SIGTERM request a graceful stop: sweeps finish in-flight
  * points and report what completed; serve mode stops at the next
@@ -37,10 +41,16 @@ main(int argc, char **argv)
     if (opts->supervise)
         return metro::runSupervisedFromOptions(*opts);
     metro::installStopHandlers();
-    std::fputs(metro::runFromOptions(*opts).c_str(), stdout);
+    std::vector<metro::ClaimVerdict> verdicts;
+    std::fputs(metro::runFromOptions(*opts, &verdicts).c_str(), stdout);
     if (metro::requestedStop()) {
         std::fflush(stdout);
         return 130;
     }
-    return 0;
+    bool held = true;
+    for (const auto &v : verdicts) {
+        std::fprintf(stderr, "%s\n", v.text.c_str());
+        held = held && v.held;
+    }
+    return held ? 0 : 1;
 }
